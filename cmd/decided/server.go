@@ -9,17 +9,19 @@ import (
 	"math/rand"
 	"net/http"
 	"runtime"
+	"slices"
 	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/engine"
+	"repro/internal/family"
 	"repro/internal/graph"
 	"repro/internal/local"
 	"repro/internal/props"
 	"repro/internal/store"
-	"repro/internal/tree"
 )
 
 // config is the resolved server configuration. Field validation happens in
@@ -207,39 +209,29 @@ func (s *server) residentFor(kind string, n int, deciderName string, seed int64)
 	return actual.(*resident), nil
 }
 
-// buildServedGraph is the service's graph vocabulary — the same families
-// localsim drives, capped at sizes a shared server should build on demand.
+// servedKinds is the service's graph vocabulary: the families localsim
+// drives, less the random one.
+var servedKinds = []string{"cycle", "path", "star", "grid", "tree", "pyramid"}
+
+// buildServedGraph builds a served family instance. The family's range and
+// the instance's node count, capped at sizes a shared server should build
+// on demand, are checked before anything is built, so a bad or oversized
+// request costs no allocation.
 func buildServedGraph(kind string, n, maxNodes int) (*graph.Graph, error) {
+	if !slices.Contains(servedKinds, kind) {
+		return nil, fmt.Errorf("unknown graph kind %q (%s)", kind, strings.Join(servedKinds, " | "))
+	}
 	if n < 1 {
 		return nil, fmt.Errorf("n must be positive, got %d", n)
 	}
-	var g *graph.Graph
-	switch kind {
-	case "cycle":
-		g = graph.Cycle(n)
-	case "path":
-		g = graph.Path(n)
-	case "star":
-		g = graph.Star(n)
-	case "grid":
-		g = graph.Grid(n, 4)
-	case "tree":
-		if n > 24 {
-			return nil, fmt.Errorf("tree depth %d out of range [1,24]", n)
-		}
-		g = graph.CompleteBinaryTree(n)
-	case "pyramid":
-		if n > 10 {
-			return nil, fmt.Errorf("pyramid height %d out of range [1,10]", n)
-		}
-		g = tree.NewPyramid(n).G
-	default:
-		return nil, fmt.Errorf("unknown graph kind %q (cycle | path | star | grid | tree | pyramid)", kind)
+	nodes, build, err := family.New(kind, n, 0)
+	if err != nil {
+		return nil, err
 	}
-	if g.N() > maxNodes {
-		return nil, fmt.Errorf("instance has %d nodes, over the served cap %d", g.N(), maxNodes)
+	if nodes > maxNodes {
+		return nil, fmt.Errorf("instance has %d nodes, over the served cap %d", nodes, maxNodes)
 	}
-	return g, nil
+	return build(), nil
 }
 
 // buildResident binds a decider name to a labeled instance.

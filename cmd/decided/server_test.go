@@ -7,6 +7,7 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -135,6 +136,37 @@ func TestEvalValidation(t *testing.T) {
 	}
 }
 
+// TestEvalRefusesBadSizesBeforeBuilding: sizes outside a family's range
+// answer 400 instead of panicking in the handler, and the node cap is
+// checked before the graph is built, so an oversized request allocates
+// nothing like the graph it names.
+func TestEvalRefusesBadSizesBeforeBuilding(t *testing.T) {
+	cfg := testConfig()
+	cfg.maxNodes = 100
+	_, ts := newTestServer(t, cfg)
+	for _, q := range []string{
+		"/v1/eval?graph=cycle&n=2&decider=degree2",
+		"/v1/eval?graph=cycle&n=1&decider=degree2",
+		"/v1/trials?graph=cycle&n=2&decider=coin",
+		"/v1/eval?graph=grid&n=1000000000&decider=degree2",
+		"/v1/eval?graph=path&n=9223372036854775807&decider=degree2",
+	} {
+		if code, body := get(t, ts.URL+q); code != http.StatusBadRequest {
+			t.Errorf("%s: status %d (want 400): %s", q, code, strings.TrimSpace(body))
+		}
+	}
+	// A 4·10^6-node grid would allocate over 100 MB if it were built.
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	if code, _ := get(t, ts.URL+"/v1/eval?graph=grid&n=1000000&decider=degree2"); code != http.StatusBadRequest {
+		t.Fatalf("over-cap grid: status %d, want 400", code)
+	}
+	runtime.ReadMemStats(&after)
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 16<<20 {
+		t.Fatalf("refusing an over-cap grid allocated %d bytes", grew)
+	}
+}
+
 // TestEvalDeadline: an evaluation that cannot finish inside its timeout_ms
 // returns 504 and counts a deadline, instead of hogging the worker.
 func TestEvalDeadline(t *testing.T) {
@@ -165,34 +197,34 @@ func TestAdmissionControl(t *testing.T) {
 	cfg := testConfig()
 	cfg.maxInflight = 1
 	cfg.testDeciders = map[string]engine.Decider{"slowdec": slowDecider(500 * time.Microsecond)}
-	_, ts := newTestServer(t, cfg)
+	s, ts := newTestServer(t, cfg)
 
 	slowDone := make(chan int, 1)
 	go func() {
-		code, _ := get(t, ts.URL+"/v1/eval?graph=cycle&n=4000&decider=slowdec&nocache=1")
+		code, _ := get(t, ts.URL+"/v1/eval?graph=cycle&n=1000&decider=slowdec&nocache=1")
 		slowDone <- code
 	}()
-	// Wait until the slow evaluation holds the slot, then probe.
+	// Wait until the slow evaluation holds the slot, then probe. Probing
+	// earlier could take the slot first and shed the slow evaluation. Its
+	// 1,000 sleeps hold the slot for at least 0.5 s, and finish inside the
+	// 5 s default timeout even where a 500 µs sleep lasts over 1.25 ms.
 	deadline := time.Now().Add(2 * time.Second)
-	var code int
-	var hdr http.Header
-	for {
-		resp, err := http.Get(ts.URL + "/v1/eval?graph=cycle&n=8&decider=degree2")
-		if err != nil {
-			t.Fatalf("probe: %v", err)
+	for len(s.sem) == 0 {
+		if time.Now().After(deadline) {
+			t.Fatal("slow evaluation never took the slot")
 		}
-		io.Copy(io.Discard, resp.Body)
-		resp.Body.Close()
-		code, hdr = resp.StatusCode, resp.Header
-		if code == http.StatusTooManyRequests || time.Now().After(deadline) {
-			break
-		}
-		time.Sleep(5 * time.Millisecond)
+		time.Sleep(time.Millisecond)
 	}
-	if code != http.StatusTooManyRequests {
-		t.Fatalf("probe while slot held: status %d, want 429", code)
+	resp, err := http.Get(ts.URL + "/v1/eval?graph=cycle&n=8&decider=degree2")
+	if err != nil {
+		t.Fatalf("probe: %v", err)
 	}
-	if hdr.Get("Retry-After") == "" {
+	io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusTooManyRequests {
+		t.Fatalf("probe while slot held: status %d, want 429", resp.StatusCode)
+	}
+	if resp.Header.Get("Retry-After") == "" {
 		t.Fatal("429 without Retry-After")
 	}
 	if got := <-slowDone; got != http.StatusOK {

@@ -93,12 +93,12 @@ import (
 	"time"
 
 	"repro/internal/engine"
+	"repro/internal/family"
 	"repro/internal/fault"
 	"repro/internal/graph"
 	"repro/internal/halting"
 	"repro/internal/local"
 	"repro/internal/props"
-	"repro/internal/tree"
 	"repro/internal/turing"
 )
 
@@ -709,32 +709,14 @@ func buildScheduler(name string, shards int, graphKind string) (engine.Scheduler
 	}
 }
 
+// buildGraph builds the -graph family at size -n; family.New refuses sizes
+// outside the family's range before anything is allocated.
 func buildGraph(kind string, n int, seed int64) (*graph.Graph, error) {
-	switch kind {
-	case "cycle":
-		return graph.Cycle(n), nil
-	case "path":
-		return graph.Path(n), nil
-	case "star":
-		return graph.Star(n), nil
-	case "grid":
-		return graph.Grid(n, 4), nil
-	case "tree":
-		return graph.CompleteBinaryTree(n), nil
-	case "pyramid":
-		if n < 0 || n > 12 {
-			return nil, fmt.Errorf("pyramid height %d out of range [0,12]", n)
-		}
-		return tree.NewPyramid(n).G, nil
-	case "random":
-		// Erdős–Rényi at expected degree ~4. Note -dedup is a poor fit here:
-		// the near-star views of a sparse random graph are the canonical
-		// code's worst case.
-		p := 4.0 / float64(max(n-1, 1))
-		return graph.Random(n, p, seed), nil
-	default:
-		return nil, fmt.Errorf("unknown graph kind %q", kind)
+	_, build, err := family.New(kind, n, seed)
+	if err != nil {
+		return nil, err
 	}
+	return build(), nil
 }
 
 // buildDecider resolves a decider name: deterministic deciders return an

@@ -112,3 +112,26 @@ func TestLocalsimUpFrontValidation(t *testing.T) {
 		t.Error("invalid invocation still created the profile file")
 	}
 }
+
+// TestLocalsimGraphSizeErrors: sizes outside a family's range, or past the
+// graph package's size bounds, come back as errors instead of constructor
+// panics.
+func TestLocalsimGraphSizeErrors(t *testing.T) {
+	bad := [][]string{
+		{"-graph", "cycle", "-n", "2"},
+		{"-graph", "cycle", "-n", "0"},
+		{"-graph", "path", "-n", "0"},
+		{"-graph", "star", "-n", "0"},
+		{"-graph", "grid", "-n", "0"},
+		{"-graph", "random", "-n", "0"},
+		{"-graph", "tree", "-n", "30"},
+		{"-graph", "pyramid", "-n", "13"},
+		{"-graph", "grid", "-n", "1000000000"},
+		{"-graph", "cycle", "-n", "1000000000000"},
+	}
+	for _, args := range bad {
+		if err := run(args); err == nil {
+			t.Errorf("localsim %v accepted an out-of-range size", args)
+		}
+	}
+}

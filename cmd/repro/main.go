@@ -1,6 +1,6 @@
 // Command repro regenerates every table and figure experiment of the
 // reproduction and prints the result rows. With no arguments it runs the
-// full registry (E1-E15); pass experiment ids to run a subset, and -quick
+// full registry (E1-E16); pass experiment ids to run a subset, and -quick
 // for reduced parameter sweeps.
 //
 // Usage:
@@ -48,7 +48,7 @@ func run(args []string) error {
 	for _, id := range selected {
 		exp, found := experiments.Find(id)
 		if !found {
-			return fmt.Errorf("unknown experiment %q (known: E1..E15)", id)
+			return fmt.Errorf("unknown experiment %q (known: E1..E16)", id)
 		}
 		res, err := exp.Run(cfg)
 		if err != nil {

@@ -37,7 +37,19 @@ func TestFind(t *testing.T) {
 // Every experiment must run green in quick mode. This is the integration
 // test of the whole reproduction pipeline.
 func TestAllExperimentsQuick(t *testing.T) {
-	cfg := Config{Quick: true, Seed: 7}
+	checkAllExperiments(t, Config{Quick: true, Seed: 7})
+}
+
+// At full size, what cmd/repro prints by default, every experiment must
+// run green as well.
+func TestAllExperimentsFullSize(t *testing.T) {
+	if testing.Short() {
+		t.Skip("full-size reproduction")
+	}
+	checkAllExperiments(t, Config{Seed: 1})
+}
+
+func checkAllExperiments(t *testing.T, cfg Config) {
 	for _, e := range Registry() {
 		e := e
 		t.Run(e.ID, func(t *testing.T) {

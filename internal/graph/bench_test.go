@@ -91,9 +91,10 @@ func BenchmarkRefinementInvariantLargeSymmetric(b *testing.B) {
 	// A star with many identical leaves: worst case for IR branching, the
 	// regime where the WL-1 fallback earns its keep.
 	l := UniformlyLabeled(Star(400), "s")
+	w := NewCodeWorkspace()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		RootedRefinementCode(l, 0)
+		w.RefinementCode(l, 0)
 	}
 }
 

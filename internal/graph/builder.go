@@ -100,7 +100,7 @@ func (b *Builder) Build() *Graph {
 	// The half-edge total must fit the int32 offsets (2^31-2 half-edges,
 	// i.e. 2^30 undirected edges); beyond that the counting accumulator
 	// would wrap silently.
-	if len(b.from) > (1<<31-2)/2 {
+	if len(b.from) > MaxEdges {
 		panic(fmt.Sprintf("graph: %d recorded edges exceed the int32 CSR bound", len(b.from)))
 	}
 	counts := make([]int32, n)

@@ -27,6 +27,13 @@ import (
 // generic search below: 1-WL refinement with counting/radix rounds over the
 // dense colour range, then individualisation-refinement branching where the
 // colouring is not discrete.
+//
+// RefinementCode stops after the refinement: it emits the stable
+// colouring's class summary and colour-pair edge profile, an invariant that
+// never separates isomorphic graphs but may merge non-isomorphic ones. Its
+// codes open with 0x00 and the tag 'W', a namespace apart from the generic
+// encoder (first byte uvarint(n) ≥ 1) and from the fast paths' 'P', 'C' and
+// 'T', so no refinement code equals an exact code.
 
 // Code is a canonical form of a (rooted) labelled graph. Bytes is a complete
 // canonical encoding: two graphs receive equal Bytes iff they are isomorphic
@@ -149,6 +156,9 @@ type CodeWorkspace struct {
 	encOrder []int
 	encNbrs  []int32
 
+	// pairs is RefinementCode's colour-pair scratch, one entry per edge.
+	pairs []uint64
+
 	// Top-level output buffer; returned Codes alias it.
 	buf []byte
 
@@ -208,6 +218,85 @@ func (w *CodeWorkspace) code(l *Labeled, root int) Code {
 		}
 	}
 	return w.genericCode(l, root)
+}
+
+// RefinementCode returns an isomorphism-invariant but possibly incomplete
+// code of a rooted labelled graph, from colour refinement alone: isomorphic
+// rooted labelled graphs always receive equal codes and distinct codes
+// certify non-isomorphism, but non-isomorphic graphs may share a code. It
+// skips the individualisation search, so it stays cheap on large graphs with
+// many mutually symmetric parts (such as the pivot neighbourhoods of the
+// Section 3 construction, where thousands of glued fragments would make the
+// exact search explode).
+//
+// The bytes are 0x00 and the tag 'W' (see the namespace note in the file
+// comment), uvarint(n), then the stable colouring: uvarint(k) classes, each
+// as its population, root flag and length-prefixed label (copied verbatim,
+// so label substrings stay searchable in the code), then the edge profile —
+// every unordered pair of colours joined by an edge, ascending, with its
+// edge count. Colours are numbered by the refinement itself, so the code is
+// invariant. The returned Code aliases workspace memory like RootedCode's.
+func (w *CodeWorkspace) RefinementCode(l *Labeled, root int) Code {
+	if root < 0 || root >= l.N() {
+		panic(fmt.Sprintf("graph: root %d out of range", root))
+	}
+	l.G.ensureStatic()
+	n := l.N()
+	w.grow(n)
+	colors := w.cur[:n]
+	k := w.refine(l.G, colors, w.initColors(l, root))
+
+	out := append(w.buf[:0], fastCodePrefix, refineCodeTag)
+	out = binary.AppendUvarint(out, uint64(n))
+	// Class summary. Refinement only splits the initial (root flag, label)
+	// classes, so any member represents its class's flag and label.
+	counts, members := w.counts[:k], w.encOrder[:k]
+	clear(counts)
+	for v, c := range colors {
+		counts[c]++
+		members[c] = v
+	}
+	out = binary.AppendUvarint(out, uint64(k))
+	for c, v := range members {
+		out = binary.AppendUvarint(out, uint64(counts[c]))
+		flag := byte(0)
+		if v == root {
+			flag = 1
+		}
+		out = append(out, flag)
+		lab := l.Labels[v]
+		out = binary.AppendUvarint(out, uint64(len(lab)))
+		out = append(out, lab...)
+	}
+	// Edge profile: one (low colour, high colour) key per edge, sorted, then
+	// emitted run by run.
+	pairs := w.pairs[:0]
+	offsets, nbrs := l.G.offsets, l.G.neighbors
+	for u := 0; u < n; u++ {
+		for _, v := range nbrs[offsets[u]:offsets[u+1]] {
+			if int32(u) < v {
+				a, b := uint64(colors[u]), uint64(colors[v])
+				if a > b {
+					a, b = b, a
+				}
+				pairs = append(pairs, a<<32|b)
+			}
+		}
+	}
+	slices.Sort(pairs)
+	for i := 0; i < len(pairs); {
+		j := i + 1
+		for j < len(pairs) && pairs[j] == pairs[i] {
+			j++
+		}
+		out = binary.AppendUvarint(out, pairs[i]>>32)
+		out = binary.AppendUvarint(out, pairs[i]&(1<<32-1))
+		out = binary.AppendUvarint(out, uint64(j-i))
+		i = j
+	}
+	w.pairs = pairs
+	w.buf = out
+	return Code{Fingerprint: fingerprint64(out), Bytes: out}
 }
 
 // genericCode is the full 1-WL + individualisation-refinement pipeline,

@@ -52,10 +52,16 @@ const fastCodePrefix byte = 0x00
 // languages disjoint, so cross-shape collisions need no further argument
 // (a path is never classified as a general tree: maxdeg ≤ 2 routes to the
 // path encoder deterministically).
+//
+// The same 0x00 prefix also opens the colour-refinement codes of
+// CodeWorkspace.RefinementCode (code.go) under their own tag 'W'. Those are
+// invariants, not canonical forms, and the tag keeps them apart from every
+// exact code, so the Section 3 neighbourhood sets can hold both kinds.
 const (
-	fastTagPath  byte = 'P'
-	fastTagCycle byte = 'C'
-	fastTagTree  byte = 'T'
+	fastTagPath   byte = 'P'
+	fastTagCycle  byte = 'C'
+	fastTagTree   byte = 'T'
+	refineCodeTag byte = 'W'
 )
 
 // fastCode attempts a shape-specialised canonical code of the rooted

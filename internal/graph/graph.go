@@ -462,8 +462,15 @@ func searchInt32(s []int32, v int32) int {
 	return sort.Search(len(s), func(i int) bool { return s[i] >= v })
 }
 
+// MaxNodes and MaxEdges are the largest node and edge counts a Graph holds:
+// node ids are int32, and so are the CSR offsets into the 2·M half-edges.
+const (
+	MaxNodes = 1<<31 - 2
+	MaxEdges = MaxNodes / 2
+)
+
 func checkInt32Range(n int) {
-	if int64(n) > int64(1<<31-2) {
+	if int64(n) > MaxNodes {
 		panic(fmt.Sprintf("graph: node count %d exceeds int32 representation", n))
 	}
 }

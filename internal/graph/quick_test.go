@@ -67,7 +67,9 @@ func TestRefinementCodeSoundProperty_Quick(t *testing.T) {
 		l := RandomLabels(Random(n, 0.3, seed), []Label{"x", "y", "z"}, seed+3)
 		root := int(rootRaw) % n
 		perm := rand.New(rand.NewSource(seed + 4)).Perm(n)
-		return RootedRefinementCode(l, root) == RootedRefinementCode(l.Relabel(perm), perm[root])
+		w := NewCodeWorkspace()
+		a := w.RefinementCode(l, root).Clone()
+		return a.Equal(w.RefinementCode(l.Relabel(perm), perm[root]))
 	}
 	if err := quick.Check(property, &quick.Config{MaxCount: 80}); err != nil {
 		t.Error(err)

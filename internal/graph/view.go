@@ -3,6 +3,7 @@ package graph
 import (
 	"encoding/binary"
 	"fmt"
+	"slices"
 	"strconv"
 )
 
@@ -45,6 +46,18 @@ func ObliviousViewOf(l *Labeled, v, t int) *View {
 	ball := l.G.Ball(v, t)
 	sub, orig := l.InducedSubgraph(ball)
 	return &View{Labeled: sub, Root: 0, Radius: t, Original: orig}
+}
+
+// Clone returns a copy of the view that owns all of its memory, so it
+// outlives the extractor that produced it. A clone of a ViewExtractor view
+// is field for field the view ViewOf or ObliviousViewOf builds for the same
+// node and radius.
+func (v *View) Clone() *View {
+	c := &View{Labeled: v.Labeled.Clone(), Root: v.Root, Radius: v.Radius, Original: slices.Clone(v.Original)}
+	if v.IDs != nil {
+		c.IDs = slices.Clone(v.IDs)
+	}
+	return c
 }
 
 // StripIDs returns a copy of the view with identifiers removed.
@@ -106,6 +119,13 @@ func (v *View) RawCode() Code {
 // that retain the code must Clone it.
 func (v *View) CanonCode() Code {
 	return v.workspace().RootedCode(v.Labeled, v.Root)
+}
+
+// RefinementCode is the view's colour-refinement code ignoring identifiers
+// (CodeWorkspace.RefinementCode), computed in the view's workspace. Its
+// bytes alias workspace memory exactly like CanonCode's.
+func (v *View) RefinementCode() Code {
+	return v.workspace().RefinementCode(v.Labeled, v.Root)
 }
 
 // ObliviousCode is the canonical code of the view ignoring identifiers: two

@@ -67,6 +67,39 @@ func (p Params) NodeLabel(c turing.Cell, xMod3, yMod3 int) graph.Label {
 	return p.GMLabel() + "|" + c.Label(xMod3, yMod3)
 }
 
+// nodeLabels hands out the node labels of one build. Every node of G(M, r)
+// carries the same (M, r) component and one of few distinct cell contents,
+// so the component is formatted once per build and each distinct
+// (cell, x mod 3, y mod 3) label is built once and shared by every node that
+// carries it. The labels are byte-identical to NodeLabel and PyrLabel.
+type nodeLabels struct {
+	prefix string // GMLabel() + "|"
+	pyr    graph.Label
+	cells  map[cellKey]graph.Label
+}
+
+// cellKey identifies one distinct cell label.
+type cellKey struct {
+	cell         turing.Cell
+	xMod3, yMod3 int
+}
+
+func (p Params) newNodeLabels() *nodeLabels {
+	prefix := p.GMLabel() + "|"
+	return &nodeLabels{prefix: prefix, pyr: prefix + "pyr", cells: make(map[cellKey]graph.Label)}
+}
+
+// cell returns NodeLabel(c, xMod3, yMod3).
+func (t *nodeLabels) cell(c turing.Cell, xMod3, yMod3 int) graph.Label {
+	k := cellKey{cell: c, xMod3: xMod3, yMod3: yMod3}
+	lab, ok := t.cells[k]
+	if !ok {
+		lab = t.prefix + c.Label(xMod3, yMod3)
+		t.cells[k] = lab
+	}
+	return lab
+}
+
 // ParseNodeLabel splits a node label into its cell content and orientation.
 func (p Params) ParseNodeLabel(lab graph.Label) (turing.Cell, int, int, error) {
 	prefix := p.GMLabel() + "|"
@@ -153,6 +186,7 @@ func (p Params) assemble(table *turing.Table, fullTable bool) (*Assembly, error)
 	total := h*w + len(fragments)*side*side
 	b := graph.NewBuilderHint(total, 2*total)
 	labels := make([]graph.Label, total)
+	names := p.newNodeLabels()
 
 	// Table grid.
 	tableNode := make([][]int, h)
@@ -161,7 +195,7 @@ func (p Params) assemble(table *turing.Table, fullTable bool) (*Assembly, error)
 		tableNode[y] = make([]int, w)
 		for x := 0; x < w; x++ {
 			tableNode[y][x] = idx
-			labels[idx] = p.NodeLabel(table.Cell(y, x), x%3, y%3)
+			labels[idx] = names.cell(table.Cell(y, x), x%3, y%3)
 			idx++
 		}
 	}
@@ -185,7 +219,7 @@ func (p Params) assemble(table *turing.Table, fullTable bool) (*Assembly, error)
 			nodes[y] = make([]int, side)
 			for x := 0; x < side; x++ {
 				nodes[y][x] = idx
-				labels[idx] = p.NodeLabel(pf.Fragment.Cells[y][x], (x+pf.PhaseX)%3, (y+pf.PhaseY)%3)
+				labels[idx] = names.cell(pf.Fragment.Cells[y][x], (x+pf.PhaseX)%3, (y+pf.PhaseY)%3)
 				idx++
 			}
 		}
@@ -234,11 +268,7 @@ func (a *Assembly) TableWidth() int {
 // pivot's ball spans the whole fragment collection) use the colour-refinement
 // invariant code, which is still isomorphism-invariant.
 func NeighborhoodCode(l *graph.Labeled, v, radius, exactLimit int) string {
-	view := graph.ObliviousViewOf(l, v, radius)
-	if view.N() <= exactLimit {
-		return view.ObliviousCode()
-	}
-	return graph.RootedRefinementCode(view.Labeled, view.Root)
+	return string(viewCode(graph.ObliviousViewOf(l, v, radius), exactLimit).Bytes)
 }
 
 // NeighborhoodSet enumerates all radius-r neighbourhood codes of a labelled
@@ -248,14 +278,23 @@ func NeighborhoodSet(l *graph.Labeled, radius, exactLimit int) map[string]struct
 	out := make(map[string]struct{})
 	x := graph.NewViewExtractor(l)
 	for v := 0; v < l.N(); v++ {
-		view := x.At(v, radius)
-		if view.N() <= exactLimit {
-			out[view.ObliviousCode()] = struct{}{}
-		} else {
-			out[graph.RootedRefinementCode(view.Labeled, view.Root)] = struct{}{}
+		code := viewCode(x.At(v, radius), exactLimit).Bytes
+		if _, seen := out[string(code)]; !seen {
+			out[string(code)] = struct{}{}
 		}
 	}
 	return out
+}
+
+// viewCode is the neighbourhood code of one view: the exact canonical code
+// up to exactLimit nodes and the refinement code beyond. The two kinds live
+// in disjoint byte namespaces (see graph.CodeWorkspace.RefinementCode), so
+// one code set holds both. The bytes alias the view's code workspace.
+func viewCode(view *graph.View, exactLimit int) graph.Code {
+	if view.N() <= exactLimit {
+		return view.CanonCode()
+	}
+	return view.RefinementCode()
 }
 
 // GeneratorResult is the output of the neighbourhood generator B.
@@ -318,8 +357,8 @@ func (p Params) GenerateNeighborhoods() (*GeneratorResult, error) {
 // skipping views that touch excluded nodes, keeping one representative view
 // per code. The sweep runs through one shared ViewExtractor — per-node
 // extraction and code computation reuse one set of scratch buffers — and
-// only re-extracts a retainable one-shot view for codes seen for the first
-// time (extractor views are invalidated by the next extraction; samples must
+// clones the extracted view only for codes seen for the first time
+// (extractor views are invalidated by the next extraction; samples must
 // outlive the loop).
 func collectNeighborhoods(asm *Assembly, radius int, excluded map[int]struct{}) *GeneratorResult {
 	l := asm.Labeled
@@ -340,15 +379,11 @@ func collectNeighborhoods(asm *Assembly, radius int, excluded map[int]struct{}) 
 				continue
 			}
 		}
-		var code string
-		if view.N() <= ExactCodeLimit {
-			code = view.ObliviousCode()
-		} else {
-			code = graph.RootedRefinementCode(view.Labeled, view.Root)
-		}
-		if _, seen := codes[code]; !seen {
-			codes[code] = struct{}{}
-			samples[code] = graph.ObliviousViewOf(l, v, radius)
+		code := viewCode(view, ExactCodeLimit).Bytes
+		if _, seen := codes[string(code)]; !seen {
+			key := string(code)
+			codes[key] = struct{}{}
+			samples[key] = view.Clone()
 		}
 	}
 	return &GeneratorResult{Codes: codes, Samples: samples, Truncated: asm.Truncated, WindowNodes: l.N()}

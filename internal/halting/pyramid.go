@@ -81,6 +81,7 @@ func (p Params) BuildPyramidalG() (*PyramidalAssembly, error) {
 	total := tablePyr.N() + len(placed)*fragPyrProto.N()
 	b := graph.NewBuilderHint(total, 3*total)
 	labels := make([]graph.Label, total)
+	names := p.newNodeLabels()
 
 	// Table pyramid: base nodes carry cell labels; upper layers carry the
 	// universal label. Base-grid ids come from the arithmetic BaseNode
@@ -93,11 +94,11 @@ func (p Params) BuildPyramidalG() (*PyramidalAssembly, error) {
 		for x := 0; x < side; x++ {
 			node := offset + tablePyr.BaseNode(x, y)
 			tableBase[y][x] = node
-			labels[node] = p.NodeLabel(table.Cell(y, x), x%3, y%3)
+			labels[node] = names.cell(table.Cell(y, x), x%3, y%3)
 		}
 	}
 	for v := tablePyr.LevelOffset(1); v < tablePyr.N(); v++ {
-		labels[offset+v] = p.PyrLabel()
+		labels[offset+v] = names.pyr
 	}
 	b.AddGraphAt(tablePyr.G, offset)
 	tableApex := offset + tablePyr.Apex()
@@ -114,11 +115,11 @@ func (p Params) BuildPyramidalG() (*PyramidalAssembly, error) {
 			for x := range base[y] {
 				node := offset + pyr.BaseNode(x, y)
 				base[y][x] = node
-				labels[node] = p.NodeLabel(pf.Fragment.Cells[y][x], x%3, y%3)
+				labels[node] = names.cell(pf.Fragment.Cells[y][x], x%3, y%3)
 			}
 		}
 		for v := pyr.LevelOffset(1); v < pyr.N(); v++ {
-			labels[offset+v] = p.PyrLabel()
+			labels[offset+v] = names.pyr
 		}
 		b.AddGraphAt(pyr.G, offset)
 		fragmentApex[i] = offset + pyr.Apex()

@@ -22,7 +22,7 @@ func TestGeneratorSamplesMatchCodes(t *testing.T) {
 		if view.N() <= ExactCodeLimit {
 			got = view.ObliviousCode()
 		} else {
-			got = graph.RootedRefinementCode(view.Labeled, view.Root)
+			got = string(view.RefinementCode().Bytes)
 		}
 		if got != code {
 			t.Fatal("sample view does not reproduce its code")

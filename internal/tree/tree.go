@@ -18,6 +18,7 @@ package tree
 
 import (
 	"fmt"
+	"strconv"
 
 	"repro/internal/graph"
 )
@@ -134,9 +135,19 @@ func (t *LayeredTree) MustNode(c Coord) int {
 // N returns the number of nodes.
 func (t *LayeredTree) N() int { return t.G.N() }
 
-// CoordLabel encodes the paper's (r, x, y) node label.
+// CoordLabel encodes the paper's (r, x, y) node label,
+// "lt{r=<r>;x=<x>;y=<y>}" in decimal. It is built by appending rather than
+// formatting: every node of every layered tree gets one.
 func CoordLabel(r int, c Coord) graph.Label {
-	return fmt.Sprintf("lt{r=%d;x=%d;y=%d}", r, c.X, c.Y)
+	b := make([]byte, 0, 32)
+	b = append(b, "lt{r="...)
+	b = strconv.AppendInt(b, int64(r), 10)
+	b = append(b, ";x="...)
+	b = strconv.AppendInt(b, int64(c.X), 10)
+	b = append(b, ";y="...)
+	b = strconv.AppendInt(b, int64(c.Y), 10)
+	b = append(b, '}')
+	return string(b)
 }
 
 // ParseCoordLabel inverts CoordLabel.
@@ -252,6 +263,10 @@ type Pyramid struct {
 	levelOffset []int
 }
 
+// MaxPyramidHeight is the largest height NewPyramid builds (about 2.2×10^7
+// nodes).
+const MaxPyramidHeight = 12
+
 // NewPyramid builds the pyramid of height h (base 2^h x 2^h). Construction
 // emits every edge from computed node ids directly — no coordinate map is
 // built, which is what makes the height-10 (n≈1.4×10^6) pyramid construct
@@ -260,7 +275,7 @@ func NewPyramid(h int) *Pyramid {
 	if h < 0 {
 		panic("tree: negative pyramid height")
 	}
-	if h > 12 {
+	if h > MaxPyramidHeight {
 		panic(fmt.Sprintf("tree: pyramid height %d too large", h))
 	}
 	levelOffset := make([]int, h+2)

@@ -1,6 +1,8 @@
 package tree
 
 import (
+	"fmt"
+	"math"
 	"strings"
 	"testing"
 
@@ -55,6 +57,27 @@ func TestLayeredTreeAdjacency(t *testing.T) {
 	root := lt.MustNode(Coord{X: 0, Y: 0})
 	if lt.G.Degree(root) != 2 {
 		t.Errorf("root degree = %d, want 2", lt.G.Degree(root))
+	}
+}
+
+// CoordLabel must stay byte-identical to the format it replaced, and
+// ParseCoordLabel must invert it, across signs and digit counts.
+func TestCoordLabelMatchesFormat(t *testing.T) {
+	values := []int{0, 1, -1, 7, -9, 10, -10, 42, 99, -100, 12345, -987654, math.MaxInt64, math.MinInt64}
+	for _, r := range values {
+		for _, x := range values {
+			for _, y := range values {
+				c := Coord{X: x, Y: y}
+				lab := CoordLabel(r, c)
+				if want := fmt.Sprintf("lt{r=%d;x=%d;y=%d}", r, x, y); lab != want {
+					t.Fatalf("CoordLabel(%d, %+v) = %q, want %q", r, c, lab, want)
+				}
+				gotR, gotC, err := ParseCoordLabel(lab)
+				if err != nil || gotR != r || gotC != c {
+					t.Fatalf("ParseCoordLabel(%q) = %d, %+v, %v", lab, gotR, gotC, err)
+				}
+			}
+		}
 	}
 }
 

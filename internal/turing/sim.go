@@ -68,7 +68,11 @@ type Result struct {
 // Unlike Config.Step (which copies the tape and suits table construction),
 // Run mutates a single tape buffer in place: identifier-scaled simulation
 // budgets (the Section 3 deciders simulate for Id(v) steps) make the
-// quadratic copy-per-step cost prohibitive.
+// quadratic copy-per-step cost prohibitive. For the same reason a run that
+// outlasts len(Delta) steps switches from looking Delta up to a dense
+// transition table (see transTable). Building the table costs about as much
+// as the steps already taken, so long runs gain and short runs, which never
+// reach the switch, pay nothing for it.
 func Run(m *Machine, maxSteps int) (Result, error) {
 	var tape []Symbol
 	head := 0
@@ -79,6 +83,7 @@ func Run(m *Machine, maxSteps int) (Result, error) {
 		}
 		return tape[i]
 	}
+	var table *transTable
 	for step := 0; step <= maxSteps; step++ {
 		if m.IsHalt(state) {
 			final := Config{Tape: tape, Head: head, State: state}
@@ -87,7 +92,16 @@ func Run(m *Machine, maxSteps int) (Result, error) {
 		if step == maxSteps {
 			break
 		}
-		tr, ok := m.Delta[TransKey{State: state, Read: read(head)}]
+		var tr Trans
+		var ok bool
+		if table != nil {
+			tr, ok = table.lookup(m, state, read(head))
+		} else {
+			tr, ok = m.Delta[TransKey{State: state, Read: read(head)}]
+			if step+1 == len(m.Delta) {
+				table = newTransTable(m)
+			}
+		}
 		if !ok {
 			return Result{}, fmt.Errorf("turing: %q step %d: missing transition delta(%d, %q)",
 				m.Name, step, state, read(head))
@@ -103,6 +117,73 @@ func Run(m *Machine, maxSteps int) (Result, error) {
 		state = tr.Next
 	}
 	return Result{Halted: false, Final: Config{Tape: tape, Head: head, State: state}}, nil
+}
+
+// transTable is Delta laid out densely, built from Delta's own keys: one
+// cell per (state, symbol) pair with the state in 0..rows-1 and the symbol
+// read by some key, so a step costs two slice indexings instead of a map
+// lookup. Rows stop at ceil(len(Delta)/cols), which covers every state of a
+// valid machine and keeps the grid under len(Delta)+cols cells whatever the
+// keys' states are. Keys outside the grid, which only invalid machines have,
+// are looked up in Delta every time.
+type transTable struct {
+	col   [256]uint16 // symbol -> 1 + column; 0 when no key reads the symbol
+	cols  int
+	rows  int
+	cells []transCell
+}
+
+// transCell is one (state, symbol) entry; ok reports whether Delta has it.
+type transCell struct {
+	next  State
+	write Symbol
+	move  Move
+	ok    bool
+}
+
+func newTransTable(m *Machine) *transTable {
+	t := &transTable{}
+	// top is one past the largest key state below len(Delta); the grid never
+	// has more rows than that.
+	var top State
+	for k := range m.Delta {
+		if t.col[k.Read] == 0 {
+			t.cols++
+			t.col[k.Read] = uint16(t.cols)
+		}
+		if k.State >= top && k.State < State(len(m.Delta)) {
+			top = k.State + 1
+		}
+	}
+	if t.cols > 0 {
+		t.rows = (len(m.Delta) + t.cols - 1) / t.cols
+		if top < State(t.rows) {
+			t.rows = int(top)
+		}
+	}
+	t.cells = make([]transCell, t.rows*t.cols)
+	for k, tr := range m.Delta {
+		if k.State >= 0 && k.State < State(t.rows) {
+			t.cells[int(k.State)*t.cols+int(t.col[k.Read])-1] = transCell{
+				next: tr.Next, write: tr.Write, move: tr.Move, ok: true,
+			}
+		}
+	}
+	return t
+}
+
+// lookup returns m.Delta[(q, sym)].
+func (t *transTable) lookup(m *Machine, q State, sym Symbol) (Trans, bool) {
+	c := t.col[sym]
+	if c == 0 {
+		return Trans{}, false // no key reads sym
+	}
+	if q < 0 || q >= State(t.rows) {
+		tr, ok := m.Delta[TransKey{State: q, Read: sym}]
+		return tr, ok
+	}
+	e := &t.cells[int(q)*t.cols+int(c)-1]
+	return Trans{Write: e.write, Move: e.move, Next: e.next}, e.ok
 }
 
 // Runtime returns the exact runtime of m if it halts within maxSteps, or

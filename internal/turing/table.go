@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strconv"
 	"strings"
+	"unicode/utf8"
 )
 
 // Cell is one entry of an execution table: the tape symbol at that position
@@ -29,7 +30,10 @@ func (c Cell) Label(xMod3, yMod3 int) string {
 // ParseCellLabel inverts Cell.Label. The structure verifiers parse one label
 // per (node, neighbour) pair in their hot loop, so this is a hand-rolled
 // scan — fmt.Sscanf's reflection and internal panic/recover error path cost
-// more than the whole surrounding check.
+// more than the whole surrounding check. Wherever it accepts an input,
+// fmt.Sscanf with the Cell.Label format reads the same values; it is
+// stricter in places (no signs other than '-', no surrounding space, no
+// trailing text), which FuzzParseCellLabel pins.
 func ParseCellLabel(s string) (Cell, int, int, error) {
 	fail := func() (Cell, int, int, error) {
 		return Cell{}, 0, 0, fmt.Errorf("turing: bad cell label %q", s)
@@ -38,8 +42,15 @@ func ParseCellLabel(s string) (Cell, int, int, error) {
 	if !ok || rest == "" {
 		return fail()
 	}
-	sym := rest[0]
-	q, rest, ok := cutInt(rest[1:], ";q=")
+	// Label writes the symbol with %c, which UTF-8-encodes bytes >= 0x80.
+	sym, size := rune(rest[0]), 1
+	if sym >= utf8.RuneSelf {
+		sym, size = utf8.DecodeRuneInString(rest)
+		if sym > 0xff {
+			return fail()
+		}
+	}
+	q, rest, ok := cutInt(rest[size:], ";q=")
 	if !ok {
 		return fail()
 	}
@@ -55,27 +66,27 @@ func ParseCellLabel(s string) (Cell, int, int, error) {
 }
 
 // cutInt strips prefix from s and reads the decimal (possibly negative)
-// integer that follows, returning the value and the remainder.
+// integer that follows, returning the value and the remainder. Values that
+// overflow int are rejected.
 func cutInt(s, prefix string) (int, string, bool) {
 	s, ok := strings.CutPrefix(s, prefix)
 	if !ok {
 		return 0, s, false
 	}
-	i, neg := 0, false
+	i := 0
 	if i < len(s) && s[i] == '-' {
-		neg = true
 		i++
 	}
-	start, val := i, 0
+	start := i
 	for i < len(s) && s[i] >= '0' && s[i] <= '9' {
-		val = val*10 + int(s[i]-'0')
 		i++
 	}
 	if i == start {
 		return 0, s, false
 	}
-	if neg {
-		val = -val
+	val, err := strconv.Atoi(s[:i])
+	if err != nil {
+		return 0, s, false
 	}
 	return val, s[i:], true
 }
