@@ -10,6 +10,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"sync"
 	"testing"
 	"time"
 
@@ -51,7 +52,7 @@ func chaosRequestSet() []string {
 //     re-issues every request, comparing each served verdict against a
 //     fresh engine evaluation with no cache and no store.
 //
-// Any corrupt record that survived recovery — or any cache warm-up serving
+// Any corrupt record that survived recovery — or any read-through serving
 // mangled bytes — shows up as a verdict mismatch here.
 func TestChaosKillRestartVerify(t *testing.T) {
 	if path := os.Getenv(chaosServeEnv); path != "" {
@@ -201,9 +202,9 @@ func TestChaosRestartReplayIncremental(t *testing.T) {
 	}
 	f.Close()
 
-	// Restart: recover the store (truncating the torn tail), warm a fresh
-	// cache from it, and replay the final mutated instance into a new
-	// incremental session.
+	// Restart: recover the store (truncating the torn tail), read a fresh
+	// cache through from it, and replay the final mutated instance into a
+	// new incremental session.
 	st2, err := store.Open(storePath, store.Options{})
 	if err != nil {
 		t.Fatalf("restart after torn append: %v", err)
@@ -213,8 +214,9 @@ func TestChaosRestartReplayIncremental(t *testing.T) {
 		t.Fatal("recovery did not truncate the torn tail")
 	}
 	cache2 := engine.NewViewCache()
-	st2.ForEach(func(r store.Record) {
-		cache2.Insert(r.Decider, r.Horizon, r.Code, engine.Verdict(r.Verdict))
+	cache2.SetLoad(func(decider string, horizon int, code []byte) (engine.Verdict, bool) {
+		v, ok := st2.Get(decider, horizon, code)
+		return engine.Verdict(v), ok
 	})
 	l2 := graph.NewLabeled(res.l.G.Clone(), append([]graph.Label(nil), res.l.Labels...))
 	inc2 := engine.MustNewIncremental(res.dec, l2, engine.Options{Cache: cache2})
@@ -252,6 +254,104 @@ func TestChaosRestartReplayIncremental(t *testing.T) {
 				t.Fatalf("update %d: node %d session verdict %v != fresh %v", i, v, inc2.Verdict(v), vd)
 			}
 		}
+	}
+}
+
+// restartRequests is the restart test's request set. Instances that accept
+// are decided at every node, so every one of their views reaches the log;
+// the rejecting ones stop at their first No, but stay under
+// shardedMinNodes, so the sharded scheduler runs them inline in the same
+// order and asks for the same views.
+var restartRequests = []string{
+	"/v1/eval?graph=cycle&n=256&decider=degree2",
+	"/v1/eval?graph=grid&n=12&decider=triangle-free",
+	"/v1/eval?graph=path&n=100&decider=triangle-free",
+	"/v1/eval?graph=tree&n=7&decider=triangle-free",
+	"/v1/eval?graph=star&n=9&decider=degree2",
+	"/v1/eval?graph=cycle&n=33&decider=3col&seed=1",
+	"/v1/eval?graph=cycle&n=51&decider=mis&seed=2",
+}
+
+// evalJSON issues one /v1/eval request and decodes its answer; it reports
+// failures as errors so goroutines other than the test's can call it.
+func evalJSON(url string) (evalResponse, error) {
+	var got evalResponse
+	resp, err := http.Get(url)
+	if err != nil {
+		return got, err
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		return got, err
+	}
+	if resp.StatusCode != http.StatusOK {
+		return got, fmt.Errorf("status %d: %s", resp.StatusCode, body)
+	}
+	return got, json.Unmarshal(body, &got)
+}
+
+// TestRestartServesWithoutDeciding: a server restarted on a log answers
+// every request the previous process answered without running a decider.
+// Right after newServer its cache is empty — nothing is replayed — and the
+// recovered verdicts are read through from the store on the first miss.
+// Each restart sends every request at once, so concurrent loads run
+// against the store under -race.
+func TestRestartServesWithoutDeciding(t *testing.T) {
+	cfg := testConfig()
+	cfg.storePath = filepath.Join(t.TempDir(), "verdicts.log")
+	cfg.queueDepth = 4096
+
+	// Server A decides every request and persists the verdicts on close.
+	a, err := newServer(cfg)
+	if err != nil {
+		t.Fatalf("server A: %v", err)
+	}
+	tsA := httptest.NewServer(a.mux)
+	want := make([]bool, len(restartRequests))
+	for i, q := range restartRequests {
+		got, err := evalJSON(tsA.URL + q)
+		if err != nil {
+			t.Fatalf("server A %s: %v", q, err)
+		}
+		want[i] = got.Accepted
+	}
+	tsA.Close()
+	if err := a.close(); err != nil {
+		t.Fatalf("close server A: %v", err)
+	}
+	if st := a.store.Stats(); st.QueueDrops != 0 {
+		t.Fatalf("server A dropped %d verdicts; the restart could not serve them", st.QueueDrops)
+	}
+
+	for _, backend := range []string{"sequential", "sharded"} {
+		t.Run(backend, func(t *testing.T) {
+			b, tsB := newTestServer(t, cfg)
+			if entries := b.cache.Stats().Entries; entries != 0 {
+				t.Fatalf("restarted cache holds %d entries before any request; want 0", entries)
+			}
+			if rec := b.store.Stats().Recovered; rec == 0 {
+				t.Fatal("restart recovered no records")
+			}
+			var wg sync.WaitGroup
+			for i, q := range restartRequests {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					got, err := evalJSON(tsB.URL + q + "&backend=" + backend)
+					if err != nil {
+						t.Errorf("%s: %v", q, err)
+					} else if got.Accepted != want[i] || got.Evaluated != 0 {
+						t.Errorf("%s: accepted %v with %d evaluated, want %v with 0",
+							q, got.Accepted, got.Evaluated, want[i])
+					}
+				}()
+			}
+			wg.Wait()
+			if st := b.cache.Stats(); st.Loaded == 0 || st.Misses != 0 {
+				t.Fatalf("restarted cache %+v: want Loaded > 0 and no Misses", st)
+			}
+		})
 	}
 }
 

@@ -20,13 +20,18 @@
 //	    Monte Carlo acceptance sweep of a randomized decider. A deadline
 //	    mid-sweep returns the committed prefix (committed < requested).
 //	GET /healthz   process liveness.
-//	GET /readyz    serving readiness: 503 before warm-up and during drain.
-//	GET /statsz    counters: admission, cache accounting, store recovery.
+//	GET /readyz    serving readiness: 503 until the store is recovered and
+//	               the listener is up, and during drain.
+//	GET /statsz    counters: admission, cache accounting (cache.Loaded:
+//	               verdicts read through from the store), store recovery
+//	               and write-behind (store.Oversized: verdicts refused as
+//	               too large to recover).
 //
 // Shutdown: SIGTERM/SIGINT flips /readyz to 503, drains in-flight
 // evaluations (bounded by -drain-timeout), flushes the store and exits —
 // a SIGKILL'd instance instead recovers on next start by truncating the
-// store's torn tail and re-serving every intact verdict.
+// store's torn tail, and serves every intact verdict by reading it through
+// from the store on the first request that needs it.
 package main
 
 import (

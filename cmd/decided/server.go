@@ -86,10 +86,12 @@ type server struct {
 	mux   *http.ServeMux
 }
 
-// newServer opens the store (recovering and warming the cache from it),
-// wires the write-behind persistence hook, and builds the HTTP mux. The
-// returned server is not yet ready: callers flip readiness once the listener
-// is up.
+// newServer opens the store (recovering its log), wires the cache's
+// read-through and write-behind hooks to it, and builds the HTTP mux. The
+// cache starts empty: a recovered verdict enters it on the first miss that
+// asks for it, so start-up time follows the log's size, not the cache's.
+// The returned server is not yet ready: callers flip readiness once the
+// listener is up.
 func newServer(cfg config) (*server, error) {
 	s := &server{
 		cfg:   cfg,
@@ -106,11 +108,12 @@ func newServer(cfg config) (*server, error) {
 			return nil, err
 		}
 		s.store = st
-		// Warm-up: replay every recovered verdict into the cache. Insert
-		// never echoes into the persist hook, so recovery cannot feed back
-		// into the log.
-		st.ForEach(func(r store.Record) {
-			s.cache.Insert(r.Decider, r.Horizon, r.Code, engine.Verdict(r.Verdict))
+		// Read-through: a canonical miss asks the store before deciding.
+		// Get never blocks on I/O, and loaded verdicts never reach the
+		// persist hook, so recovery cannot feed back into the log.
+		s.cache.SetLoad(func(decider string, horizon int, code []byte) (engine.Verdict, bool) {
+			v, ok := st.Get(decider, horizon, code)
+			return engine.Verdict(v), ok
 		})
 		// Write-behind: fresh canonical verdicts enqueue to the store; Put
 		// never blocks (bounded queue, drop-on-overflow), which is the
@@ -466,7 +469,8 @@ func (s *server) handleHealthz(w http.ResponseWriter, r *http.Request) {
 
 // handleReadyz reports serving readiness: 200 once the store is recovered
 // and the listener is up, 503 before that and again once shutdown begins —
-// the signal a load balancer uses to drain this instance.
+// the signal a load balancer uses to drain this instance. Recovery is the
+// whole start-up cost: recovered verdicts are read through on demand.
 func (s *server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	if s.ready.Load() {
 		w.WriteHeader(http.StatusOK)
@@ -476,7 +480,10 @@ func (s *server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 	httpError(w, http.StatusServiceUnavailable, "not ready")
 }
 
-// statszResponse is the JSON body of /statsz.
+// statszResponse is the JSON body of /statsz. Cache carries the cache's
+// counters (engine.CacheStats: Loaded counts verdicts read through from the
+// store) and Store the store's (store.Stats: Oversized counts verdicts
+// refused as unrecoverable), each documented on its field.
 type statszResponse struct {
 	UptimeSeconds float64           `json:"uptimeSeconds"`
 	Goroutines    int               `json:"goroutines"`

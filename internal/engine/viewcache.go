@@ -51,14 +51,19 @@ type ViewCache struct {
 	// the write-behind hook the persistent verdict store attaches to. See
 	// SetPersist.
 	persist PersistFunc
+	// load, when set, is asked for a verdict on each canonical miss before
+	// the decider runs — the read-through hook the persistent verdict store
+	// attaches to. See SetLoad.
+	load LoadFunc
 
-	// hits/misses/rejects/evictions are the observability counters behind
-	// Stats(): verdicts served from the cache, verdicts the cache had to
-	// compute, entries discarded by the integrity guard, and entries
-	// evicted by the capacity CLOCK. Atomic so readers never block the
-	// striped shard locks.
+	// hits/misses/loaded/rejects/evictions are the observability counters
+	// behind Stats(): verdicts served from the cache, verdicts the cache had
+	// to compute, verdicts the load hook supplied, entries discarded by the
+	// integrity guard, and entries evicted by the capacity CLOCK. Atomic so
+	// readers never block the striped shard locks.
 	hits      atomic.Int64
 	misses    atomic.Int64
+	loaded    atomic.Int64
 	rejects   atomic.Int64
 	evictions atomic.Int64
 }
@@ -76,12 +81,33 @@ type PersistFunc func(decider string, horizon int, code []byte, verdict Verdict)
 // persisted.
 func (c *ViewCache) SetPersist(fn PersistFunc) { c.persist = fn }
 
+// LoadFunc is the read-through hook: asked on a canonical miss, before the
+// decider runs, for a verdict decided earlier — by a previous process, in
+// the persistent store's case. It reports the verdict and whether it has
+// one. The hook runs inside the miss's shard critical section, so it MUST
+// NOT block on I/O and MUST NOT call back into the cache; code is valid only
+// for the call. The store's Get qualifies: it takes only the store's map
+// lock, and no store path takes a shard lock, so the lock order is shard
+// lock, then store lock.
+type LoadFunc func(decider string, horizon int, code []byte) (verdict Verdict, ok bool)
+
+// SetLoad attaches the read-through hook. Like SetPersist it must be called
+// at wire-up time, before the cache is shared across goroutines. A verdict
+// the hook supplies is stored like any insert (when the shard has room),
+// counted in CacheStats.Loaded, and never handed to the persist hook, so a
+// store's verdicts do not echo back into it.
+func (c *ViewCache) SetLoad(fn LoadFunc) { c.load = fn }
+
 // CacheStats is a point-in-time snapshot of a ViewCache's counters.
 type CacheStats struct {
 	// Hits counts lookups served from the cache (raw or canonical layer).
 	Hits int64
 	// Misses counts lookups that had to compute the verdict.
 	Misses int64
+	// Loaded counts canonical misses the load hook answered (see SetLoad):
+	// verdicts read through from a persistent store instead of computed.
+	// They count as neither Hits nor Misses.
+	Loaded int64
 	// Rejects counts entries discarded by the integrity guard: stored code
 	// bytes that no longer hash to their bucket fingerprint (corruption).
 	// Each reject degrades to a miss, never to a wrong verdict.
@@ -109,6 +135,7 @@ func (c *ViewCache) Stats() CacheStats {
 	st := CacheStats{
 		Hits:      c.hits.Load(),
 		Misses:    c.misses.Load(),
+		Loaded:    c.loaded.Load(),
 		Rejects:   c.rejects.Load(),
 		Evictions: c.evictions.Load(),
 	}
@@ -438,16 +465,17 @@ func (c *ViewCache) storeEntry(s *cacheShard, key cacheKey, owned []byte, verdic
 }
 
 // lookupOrCompute returns the verdict for code under (decider, horizon),
-// computing and inserting it on a miss. computed reports whether this call
-// ran compute; stored whether the result entered the cache (false when the
-// shard declines the insert — entry cap in unbounded mode, an entry larger
-// than the shard budget in bounded mode). The whole lookup-or-insert is one
-// critical section on the code's shard: on a miss the decider runs under the
-// shard lock, which serialises same-shard misses but removes the second lock
-// acquisition and the duplicated decide the seed-era cache allowed. In the
-// dedup regime misses are rare by construction (that is the regime's point),
-// and the fingerprint striping keeps first-run miss storms spread over the
-// shards.
+// loading it through the load hook or else computing it, and inserting it,
+// on a miss. computed reports whether this call ran compute; stored whether
+// the computed result entered the cache (false when the shard declines the
+// insert — entry cap in unbounded mode, an entry larger than the shard
+// budget in bounded mode — and for a loaded verdict, which was decided
+// before). The whole lookup-or-insert is one critical section on the code's
+// shard: on a miss the load hook and the decider run under the shard lock,
+// which serialises same-shard misses but removes the second lock acquisition
+// and the duplicated decide the seed-era cache allowed. In the dedup regime
+// misses are rare by construction (that is the regime's point), and the
+// fingerprint striping keeps first-run miss storms spread over the shards.
 //
 // code.Bytes is cloned before compute runs: the bytes alias the caller's
 // CodeWorkspace, and a decider that computes further codes (benchmarks and
@@ -462,6 +490,17 @@ func (c *ViewCache) lookupOrCompute(decider string, horizon int, code graph.Code
 		c.hits.Add(1)
 		return v, false, false
 	}
+	if c.load != nil {
+		if v, ok := c.load(decider, horizon, code.Bytes); ok {
+			owned := append([]byte(nil), code.Bytes...)
+			if c.makeRoom(s, key, entryBytes(key, owned)) {
+				c.storeEntry(s, key, owned, v)
+			}
+			s.mu.Unlock()
+			c.loaded.Add(1)
+			return v, false, false
+		}
+	}
 	c.misses.Add(1)
 	owned := append([]byte(nil), code.Bytes...)
 	if !c.makeRoom(s, key, entryBytes(key, owned)) {
@@ -475,28 +514,6 @@ func (c *ViewCache) lookupOrCompute(decider string, horizon int, code graph.Code
 		c.persist(decider, horizon, owned, verdict)
 	}
 	return verdict, true, true
-}
-
-// Insert records an externally computed canonical verdict — the warm-up path
-// a persistent store replays recovered records through at startup. It
-// reports whether the entry was stored (false when an equal entry already
-// exists or the shard declines it). The persistence hook is deliberately NOT
-// invoked: records arriving from the store must not echo back into it.
-func (c *ViewCache) Insert(decider string, horizon int, code []byte, verdict Verdict) bool {
-	fp := graph.Fingerprint(code)
-	s := c.shardFor(fp)
-	key := cacheKey{decider: decider, horizon: horizon, fp: fp}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if _, ok := c.findVerified(s, key, code); ok {
-		return false
-	}
-	owned := append([]byte(nil), code...)
-	if !c.makeRoom(s, key, entryBytes(key, owned)) {
-		return false
-	}
-	c.storeEntry(s, key, owned, verdict)
-	return true
 }
 
 // lookupRaw consults the first-level raw-structure layer: verdicts keyed by

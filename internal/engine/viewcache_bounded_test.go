@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"bytes"
 	"encoding/binary"
 	"sync"
 	"sync/atomic"
@@ -151,31 +152,51 @@ func TestBoundedCacheOversizedEntryDeclined(t *testing.T) {
 	}
 }
 
-// TestBoundedCacheInsertWarmup pins the store-recovery warm-up path: Insert
-// records an external verdict exactly once, never echoes into the persist
-// hook, and serves subsequent lookups without recompute.
-func TestBoundedCacheInsertWarmup(t *testing.T) {
+// TestBoundedCacheLoadHook pins the read-through path a persistent store
+// serves recovered verdicts by: a verdict the load hook finds is served
+// without compute, cached, never echoed into the persist hook, and counted
+// as Loaded rather than as a hit or a miss; a hook miss computes and
+// persists exactly once.
+func TestBoundedCacheLoadHook(t *testing.T) {
 	c := NewBoundedViewCache(1 << 20)
-	persisted := 0
+	persisted, asked := 0, 0
 	c.SetPersist(func(decider string, horizon int, code []byte, verdict Verdict) { persisted++ })
-	code := codeFor(7)
-	if !c.Insert("d", 3, code.Bytes, Yes) {
-		t.Fatal("fresh Insert must store")
-	}
-	if c.Insert("d", 3, code.Bytes, Yes) {
-		t.Fatal("duplicate Insert must decline")
+	known := codeFor(7)
+	c.SetLoad(func(decider string, horizon int, code []byte) (Verdict, bool) {
+		asked++
+		if decider == "d" && horizon == 3 && bytes.Equal(code, known.Bytes) {
+			return Yes, true
+		}
+		return No, false
+	})
+	v, computed, stored := c.lookupOrCompute("d", 3, known, func() Verdict { t.Fatal("recompute"); return No })
+	if v != Yes || computed || stored {
+		t.Fatalf("loaded verdict: got (%v, %v, %v), want (Yes, false, false)", v, computed, stored)
 	}
 	if persisted != 0 {
-		t.Fatalf("Insert must not invoke the persist hook, got %d calls", persisted)
+		t.Fatalf("a loaded verdict must not reach the persist hook, got %d calls", persisted)
 	}
-	v, computed, _ := c.lookupOrCompute("d", 3, code, func() Verdict { t.Fatal("recompute"); return No })
-	if v != Yes || computed {
-		t.Fatalf("warmed entry not served: (%v, %v)", v, computed)
+	if st := c.Stats(); st.Loaded != 1 || st.Hits != 0 || st.Misses != 0 || st.Entries != 1 {
+		t.Fatalf("after a load: %+v, want Loaded 1, Hits 0, Misses 0, Entries 1", st)
 	}
-	// A genuinely fresh insert through the lookup path does persist.
-	c.lookupOrCompute("d", 3, codeFor(8), func() Verdict { return No })
-	if persisted != 1 {
-		t.Fatalf("persist hook calls = %d, want 1", persisted)
+	// The loaded verdict was cached: the next lookup is a hit, not a load.
+	if v, computed, _ := c.lookupOrCompute("d", 3, known, func() Verdict { t.Fatal("recompute"); return No }); v != Yes || computed {
+		t.Fatalf("cached loaded verdict not served: (%v, %v)", v, computed)
+	}
+	if asked != 1 {
+		t.Fatalf("load hook asked %d times, want 1", asked)
+	}
+	// A hook miss computes and persists exactly once.
+	fresh := codeFor(8)
+	calls := 0
+	for i := 0; i < 2; i++ {
+		c.lookupOrCompute("d", 3, fresh, func() Verdict { calls++; return No })
+	}
+	if calls != 1 || persisted != 1 {
+		t.Fatalf("hook miss: %d computes, %d persists, want 1 and 1", calls, persisted)
+	}
+	if st := c.Stats(); st.Loaded != 1 || st.Hits != 2 || st.Misses != 1 {
+		t.Fatalf("final counters %+v, want Loaded 1, Hits 2, Misses 1", st)
 	}
 }
 

@@ -6,7 +6,9 @@
 //
 // The store is deliberately engine-free: it deals in Records of raw bytes and
 // a boolean verdict. The decided server wires it to the engine's ViewCache
-// via the cache's persist hook (write-behind) and Insert warm-up (recovery).
+// through the cache's two hooks: persist (write-behind, Put) and load
+// (read-through, Get), so a restarted server serves every recovered verdict
+// on its first miss without replaying the log into the cache.
 //
 // Wire format, little-endian throughout:
 //
@@ -21,6 +23,11 @@
 // frames and checksums correctly but carries an unknown schema version is
 // skipped and counted instead: the bytes are intact, only the encoding is
 // from the future, so later records remain trustworthy.
+//
+// In memory, a record is keyed by its payload after the schema and verdict
+// bytes (see appendKey). Recovery reads the log once, copies its verified
+// prefix into one string, and keys every recovered record by a substring of
+// it, so keying a million records allocates one block instead of a million.
 package store
 
 import (
@@ -29,6 +36,7 @@ import (
 	"fmt"
 	"hash/crc32"
 	"io"
+	"math"
 	"os"
 	"path/filepath"
 	"sync"
@@ -48,6 +56,10 @@ const frameHeaderBytes = 8
 // cannot drive recovery (or an attacker-controlled log) into a giant
 // allocation — an implausible length is treated as corruption.
 const maxPayloadBytes = 1 << 20
+
+// minPayloadBytes is the payload of a record with an empty decider name and
+// an empty code: schema, verdict, horizon and the two length fields.
+const minPayloadBytes = 12
 
 // castagnoli is the CRC32C table; Castagnoli rather than IEEE because it is
 // the polynomial with hardware support on amd64/arm64 — checksumming must be
@@ -78,6 +90,12 @@ type Stats struct {
 	// full. Dropped verdicts are recomputed on the next cold start — a
 	// throughput hit, never a correctness hit.
 	QueueDrops int64
+	// Oversized counts Put calls refused because recovery would reject the
+	// record's frame: a decider name over 65,535 bytes (its length field is
+	// two bytes) or a payload over 1 MiB. Appending such a frame would make
+	// the next Open truncate it and every record after it; refused verdicts
+	// are recomputed after a restart instead.
+	Oversized int64
 	// Recovered is the number of valid records read back at Open.
 	Recovered int
 	// SkippedSchema counts well-framed records dropped at Open for carrying
@@ -108,9 +126,16 @@ type Store struct {
 	path string
 	opts Options
 
-	mu    sync.Mutex      // guards known, stats, testGate
-	known map[string]bool // key() → verdict, in-memory dedup + warm-up source
-	stats Stats
+	mu sync.Mutex // guards known, keyBuf, stats, testGate
+	// known maps each live record's key (see appendKey) to its verdict: the
+	// dedup set Put checks and the read-through source Get serves. The keys
+	// of recovered records are substrings of one string holding the log's
+	// verified prefix.
+	known map[string]bool
+	// keyBuf is the buffer Put and Get build lookup keys in, reused so a
+	// lookup allocates nothing.
+	keyBuf []byte
+	stats  Stats
 
 	// wmu serialises every use of file (append, sync, compaction swap,
 	// close). It is separate from mu so Put — which only touches the dedup
@@ -123,7 +148,7 @@ type Store struct {
 	// batch write so overflow behaviour can be exercised deterministically.
 	testGate chan struct{}
 
-	queue    chan Record
+	queue    chan pending
 	flushReq chan chan error
 	done     chan struct{}
 	closed   chan struct{}
@@ -132,70 +157,65 @@ type Store struct {
 	closeErr  error
 }
 
-// key builds the dedup map key. Horizon and decider-length are encoded so
-// ("ab", code) and ("a", "b"+code) cannot collide.
-func key(r Record) string {
-	var pre [10]byte
-	binary.LittleEndian.PutUint32(pre[0:], uint32(r.Horizon))
-	binary.LittleEndian.PutUint16(pre[4:], uint16(len(r.Decider)))
-	binary.LittleEndian.PutUint32(pre[6:], uint32(len(r.Code)))
-	return string(pre[:]) + r.Decider + string(r.Code)
+// pending is a record accepted by Put and not yet written: its key and
+// verdict, which together are its whole payload but the schema byte.
+type pending struct {
+	key     string
+	verdict bool
 }
 
-// encode appends the framed wire encoding of r to buf and returns the
-// extended slice.
-func encode(buf []byte, r Record) []byte {
-	payloadLen := 1 + 1 + 4 + 2 + len(r.Decider) + 4 + len(r.Code)
-	var hdr [frameHeaderBytes]byte
-	binary.LittleEndian.PutUint32(hdr[0:], uint32(payloadLen))
-	start := len(buf)
-	buf = append(buf, hdr[:]...)
-	buf = append(buf, SchemaVersion)
-	if r.Verdict {
-		buf = append(buf, 1)
-	} else {
-		buf = append(buf, 0)
+// appendKey appends the in-memory key of (decider, horizon, code) to buf.
+// The key is the record's payload after its schema and verdict bytes,
+//
+//	[4B horizon][2B deciderLen][decider][4B codeLen][code]
+//
+// so a recovered record is keyed by a substring of the log, and a frame is
+// written straight from a key. The length fields keep ("ab", code) and
+// ("a", "b"+code) apart. Callers check recordable first, so the lengths fit
+// their fields.
+func appendKey(buf []byte, decider string, horizon int, code []byte) []byte {
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(horizon))
+	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(decider)))
+	buf = append(buf, decider...)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(code)))
+	return append(buf, code...)
+}
+
+// keyLengthsAgree reports whether a key's decider and code length fields
+// add up to its length. The key must hold its 10 bytes of fixed fields,
+// which scan's plausibility bound guarantees.
+func keyLengthsAgree(k []byte) bool {
+	dl := int(binary.LittleEndian.Uint16(k[4:]))
+	if len(k) < 10+dl {
+		return false
 	}
-	var u32 [4]byte
-	binary.LittleEndian.PutUint32(u32[:], uint32(r.Horizon))
-	buf = append(buf, u32[:]...)
-	var u16 [2]byte
-	binary.LittleEndian.PutUint16(u16[:], uint16(len(r.Decider)))
-	buf = append(buf, u16[:]...)
-	buf = append(buf, r.Decider...)
-	binary.LittleEndian.PutUint32(u32[:], uint32(len(r.Code)))
-	buf = append(buf, u32[:]...)
-	buf = append(buf, r.Code...)
+	cl := int(binary.LittleEndian.Uint32(k[6+dl:]))
+	return len(k) == 10+dl+cl
+}
+
+// recordable reports whether recovery would accept the frame of a record
+// with this decider name and code length: the name's length must fit its
+// two-byte field and the payload must stay within maxPayloadBytes.
+func recordable(decider string, codeLen int) bool {
+	return len(decider) <= math.MaxUint16 &&
+		codeLen <= maxPayloadBytes-minPayloadBytes-len(decider)
+}
+
+// appendFrame appends the framed wire encoding of the record with the given
+// key and verdict to buf and returns the extended slice.
+func appendFrame(buf []byte, key string, verdict bool) []byte {
+	start := len(buf)
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(2+len(key)))
+	buf = binary.LittleEndian.AppendUint32(buf, 0) // checksum, set below
+	v := byte(0)
+	if verdict {
+		v = 1
+	}
+	buf = append(buf, SchemaVersion, v)
+	buf = append(buf, key...)
 	sum := crc32.Checksum(buf[start+frameHeaderBytes:], castagnoli)
 	binary.LittleEndian.PutUint32(buf[start+4:], sum)
 	return buf
-}
-
-// errSchema marks a well-framed payload with an unknown schema version; the
-// recovery scan skips such records instead of truncating.
-var errSchema = errors.New("store: unknown schema version")
-
-// decodePayload parses a checksummed payload into a Record.
-func decodePayload(p []byte) (Record, error) {
-	if len(p) < 12 {
-		return Record{}, fmt.Errorf("store: payload too short: %d bytes", len(p))
-	}
-	if p[0] != SchemaVersion {
-		return Record{}, fmt.Errorf("%w: %d", errSchema, p[0])
-	}
-	r := Record{Verdict: p[1] != 0}
-	r.Horizon = int(binary.LittleEndian.Uint32(p[2:]))
-	dl := int(binary.LittleEndian.Uint16(p[6:]))
-	if len(p) < 12+dl {
-		return Record{}, fmt.Errorf("store: decider length %d overruns payload", dl)
-	}
-	r.Decider = string(p[8 : 8+dl])
-	cl := int(binary.LittleEndian.Uint32(p[8+dl:]))
-	if len(p) != 12+dl+cl {
-		return Record{}, fmt.Errorf("store: code length %d mismatches payload", cl)
-	}
-	r.Code = append([]byte(nil), p[12+dl:]...)
-	return r, nil
 }
 
 // Open opens (creating if absent) the verdict log at path, runs the recovery
@@ -212,8 +232,7 @@ func Open(path string, opts Options) (*Store, error) {
 		path:     path,
 		opts:     opts,
 		file:     f,
-		known:    make(map[string]bool),
-		queue:    make(chan Record, opts.QueueDepth),
+		queue:    make(chan pending, opts.QueueDepth),
 		flushReq: make(chan chan error, 1),
 		done:     make(chan struct{}),
 		closed:   make(chan struct{}),
@@ -226,24 +245,57 @@ func Open(path string, opts Options) (*Store, error) {
 	return s, nil
 }
 
-// recover scans the log, loads valid records into the dedup map, and
+// recover reads the log, keys every verified record into known, and
 // truncates the file at the first torn or checksum-corrupt record.
 func (s *Store) recover() error {
-	data, err := io.ReadAll(s.file)
+	fi, err := s.file.Stat()
 	if err != nil {
+		return fmt.Errorf("store: recovery stat: %w", err)
+	}
+	data := make([]byte, fi.Size())
+	if _, err := io.ReadFull(s.file, data); err != nil {
 		return fmt.Errorf("store: recovery read: %w", err)
 	}
-	off := 0
-	for {
-		rest := data[off:]
-		if len(rest) == 0 {
-			break
+	end, live, skipped := scan(data)
+	// Every frame before end is verified, so this second walk only follows
+	// the length prefixes, keying each record by a substring of one copy of
+	// the prefix.
+	prefix := string(data[:end])
+	s.known = make(map[string]bool, live)
+	for off := 0; off < end; {
+		n := int(binary.LittleEndian.Uint32(data[off:]))
+		p := prefix[off+frameHeaderBytes : off+frameHeaderBytes+n]
+		if p[0] == SchemaVersion {
+			s.known[p[2:]] = p[1] != 0
 		}
+		off += frameHeaderBytes + n
+	}
+	s.stats.Recovered = live
+	s.stats.SkippedSchema = skipped
+	s.stats.Records = len(s.known)
+	if end < len(data) {
+		s.stats.TruncatedBytes = int64(len(data) - end)
+		if err := s.file.Truncate(int64(end)); err != nil {
+			return fmt.Errorf("store: truncate torn tail: %w", err)
+		}
+	}
+	if _, err := s.file.Seek(int64(end), io.SeekStart); err != nil {
+		return fmt.Errorf("store: seek append offset: %w", err)
+	}
+	return nil
+}
+
+// scan walks the frames of a log image. It returns the length of the
+// verified prefix, the number of records in it that carry SchemaVersion,
+// and the number skipped for carrying another version.
+func scan(data []byte) (end, live, skipped int) {
+	for end < len(data) {
+		rest := data[end:]
 		if len(rest) < frameHeaderBytes {
 			break // torn header
 		}
 		payloadLen := int(binary.LittleEndian.Uint32(rest[0:]))
-		if payloadLen > maxPayloadBytes || payloadLen < 12 {
+		if payloadLen > maxPayloadBytes || payloadLen < minPayloadBytes {
 			break // implausible length prefix: corrupt
 		}
 		if len(rest) < frameHeaderBytes+payloadLen {
@@ -254,52 +306,45 @@ func (s *Store) recover() error {
 		if crc32.Checksum(payload, castagnoli) != wantSum {
 			break // flipped bits: corrupt
 		}
-		r, derr := decodePayload(payload)
-		if derr != nil {
-			if errors.Is(derr, errSchema) {
-				// Intact frame from a future encoder: skip, keep scanning.
-				s.stats.SkippedSchema++
-				off += frameHeaderBytes + payloadLen
-				continue
-			}
+		if payload[0] != SchemaVersion {
+			// Intact frame from a future encoder: skip, keep scanning.
+			skipped++
+		} else if keyLengthsAgree(payload[2:]) {
+			live++
+		} else {
 			break // internal lengths disagree with the frame: corrupt
 		}
-		s.known[key(r)] = r.Verdict
-		s.stats.Recovered++
-		off += frameHeaderBytes + payloadLen
+		end += frameHeaderBytes + payloadLen
 	}
-	s.stats.Records = len(s.known)
-	if off < len(data) {
-		s.stats.TruncatedBytes = int64(len(data) - off)
-		if err := s.file.Truncate(int64(off)); err != nil {
-			return fmt.Errorf("store: truncate torn tail: %w", err)
-		}
-	}
-	if _, err := s.file.Seek(int64(off), io.SeekStart); err != nil {
-		return fmt.Errorf("store: seek append offset: %w", err)
-	}
-	return nil
+	return end, live, skipped
 }
 
 // Put enqueues a record for asynchronous persistence. It never blocks: a
-// full queue drops the record (counted in QueueDrops), and a record already
-// known (same key) is deduplicated away. The returned bool reports whether
-// the record was accepted for persistence.
+// full queue drops the record (counted in QueueDrops), a record already
+// known (same key) is deduplicated away, and a record recovery would reject
+// is refused (counted in Oversized). The returned bool reports whether the
+// record was accepted for persistence.
 func (s *Store) Put(r Record) bool {
-	k := key(r)
 	s.mu.Lock()
-	if _, dup := s.known[k]; dup {
+	if !recordable(r.Decider, len(r.Code)) {
+		s.stats.Oversized++
+		s.mu.Unlock()
+		return false
+	}
+	s.keyBuf = appendKey(s.keyBuf[:0], r.Decider, r.Horizon, r.Code)
+	if _, dup := s.known[string(s.keyBuf)]; dup {
 		s.mu.Unlock()
 		return false
 	}
 	// Mark known before enqueueing so a concurrent Put of the same key
 	// dedups against this one; unmark on drop so it can retry later.
+	k := string(s.keyBuf)
 	s.known[k] = r.Verdict
 	s.stats.Records = len(s.known)
 	s.mu.Unlock()
 
 	select {
-	case s.queue <- r:
+	case s.queue <- pending{key: k, verdict: r.Verdict}:
 		return true
 	default:
 	}
@@ -311,53 +356,18 @@ func (s *Store) Put(r Record) bool {
 	return false
 }
 
-// Get reports the verdict stored for the key of r (its Verdict field is
-// ignored) and whether one exists.
+// Get reports the verdict stored for (decider, horizon, code) and whether
+// one exists. It takes only the map lock, never the writer lock, and
+// allocates nothing, so a cache may call it on its miss path.
 func (s *Store) Get(decider string, horizon int, code []byte) (verdict, ok bool) {
+	if !recordable(decider, len(code)) {
+		return false, false
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	v, ok := s.known[key(Record{Decider: decider, Horizon: horizon, Code: code})]
-	return v, ok
-}
-
-// ForEach calls fn for every live record key currently known, in no
-// particular order. It is intended for cache warm-up at startup. The code
-// slice passed to fn must not be retained.
-func (s *Store) ForEach(fn func(r Record)) {
-	s.mu.Lock()
-	keys := make([]string, 0, len(s.known))
-	verdicts := make([]bool, 0, len(s.known))
-	for k, v := range s.known {
-		keys = append(keys, k)
-		verdicts = append(verdicts, v)
-	}
-	s.mu.Unlock()
-	for i, k := range keys {
-		r, err := recordFromKey(k)
-		if err != nil {
-			continue
-		}
-		r.Verdict = verdicts[i]
-		fn(r)
-	}
-}
-
-// recordFromKey inverts key(): the dedup key embeds every field but the
-// verdict.
-func recordFromKey(k string) (Record, error) {
-	if len(k) < 10 {
-		return Record{}, errors.New("store: malformed dedup key")
-	}
-	var r Record
-	r.Horizon = int(binary.LittleEndian.Uint32([]byte(k[0:4])))
-	dl := int(binary.LittleEndian.Uint16([]byte(k[4:6])))
-	cl := int(binary.LittleEndian.Uint32([]byte(k[6:10])))
-	if len(k) != 10+dl+cl {
-		return Record{}, errors.New("store: malformed dedup key lengths")
-	}
-	r.Decider = k[10 : 10+dl]
-	r.Code = []byte(k[10+dl:])
-	return r, nil
+	s.keyBuf = appendKey(s.keyBuf[:0], decider, horizon, code)
+	verdict, ok = s.known[string(s.keyBuf)]
+	return verdict, ok
 }
 
 // flusher is the write-behind goroutine: it drains the queue in batches,
@@ -368,8 +378,8 @@ func (s *Store) flusher() {
 	buf := make([]byte, 0, 4096)
 	for {
 		select {
-		case r := <-s.queue:
-			buf = s.writeBatch(buf[:0], r)
+		case p := <-s.queue:
+			buf = s.writeBatch(buf[:0], p)
 		case ack := <-s.flushReq:
 			ack <- s.drainAndSync(buf[:0])
 		case <-s.done:
@@ -382,19 +392,19 @@ func (s *Store) flusher() {
 
 // writeBatch encodes first plus everything else currently queued and writes
 // the batch in one call.
-func (s *Store) writeBatch(buf []byte, first Record) []byte {
+func (s *Store) writeBatch(buf []byte, first pending) []byte {
 	s.mu.Lock()
 	gate := s.testGate
 	s.mu.Unlock()
 	if gate != nil {
 		<-gate
 	}
-	buf = encode(buf, first)
+	buf = appendFrame(buf, first.key, first.verdict)
 	n := 1
 	for more := true; more; {
 		select {
-		case r := <-s.queue:
-			buf = encode(buf, r)
+		case p := <-s.queue:
+			buf = appendFrame(buf, p.key, p.verdict)
 			n++
 		default:
 			more = false
@@ -430,8 +440,8 @@ func (s *Store) drainAndSync(buf []byte) error {
 	n := 0
 	for more := true; more; {
 		select {
-		case r := <-s.queue:
-			buf = encode(buf, r)
+		case p := <-s.queue:
+			buf = appendFrame(buf, p.key, p.verdict)
 			n++
 		default:
 			more = false
@@ -495,14 +505,9 @@ func (s *Store) Compact() error {
 	}
 	s.mu.Lock()
 	buf := make([]byte, 0, 4096)
-	live := make([]Record, 0, len(s.known))
+	live := make([]pending, 0, len(s.known))
 	for k, v := range s.known {
-		r, kerr := recordFromKey(k)
-		if kerr != nil {
-			continue
-		}
-		r.Verdict = v
-		live = append(live, r)
+		live = append(live, pending{key: k, verdict: v})
 	}
 	s.mu.Unlock()
 	tmpPath := s.path + ".compact"
@@ -510,8 +515,8 @@ func (s *Store) Compact() error {
 	if err != nil {
 		return fmt.Errorf("store: compact open: %w", err)
 	}
-	for _, r := range live {
-		buf = encode(buf, r)
+	for _, p := range live {
+		buf = appendFrame(buf, p.key, p.verdict)
 		if len(buf) >= 1<<16 {
 			if _, err := tmp.Write(buf); err != nil {
 				tmp.Close()

@@ -8,6 +8,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -60,6 +61,82 @@ func TestRoundTrip(t *testing.T) {
 		v, ok := s2.Get(want.Decider, want.Horizon, want.Code)
 		if !ok || v != want.Verdict {
 			t.Fatalf("record %d: got (%v, %v), want (%v, true)", i, v, ok, want.Verdict)
+		}
+	}
+	// Get sits on the cache's miss path: a lookup must not allocate.
+	probe := rec(7, false)
+	if allocs := testing.AllocsPerRun(100, func() { s2.Get(probe.Decider, probe.Horizon, probe.Code) }); allocs != 0 {
+		t.Fatalf("Get allocates %.0f times per call, want 0", allocs)
+	}
+}
+
+// handFrame encodes a record exactly as the package comment's wire format
+// states, independently of the store's encoder.
+func handFrame(r Record) []byte {
+	var p []byte
+	p = append(p, SchemaVersion)
+	if r.Verdict {
+		p = append(p, 1)
+	} else {
+		p = append(p, 0)
+	}
+	p = binary.LittleEndian.AppendUint32(p, uint32(r.Horizon))
+	p = binary.LittleEndian.AppendUint16(p, uint16(len(r.Decider)))
+	p = append(p, r.Decider...)
+	p = binary.LittleEndian.AppendUint32(p, uint32(len(r.Code)))
+	p = append(p, r.Code...)
+	f := binary.LittleEndian.AppendUint32(nil, uint32(len(p)))
+	f = binary.LittleEndian.AppendUint32(f, crc32.Checksum(p, castagnoli))
+	return append(f, p...)
+}
+
+// TestWireFormatPinned: the store writes exactly the documented frames, and
+// recovers a log written frame by frame from that documentation. The
+// in-memory key shares the payload's layout, but the format on disk is the
+// contract every existing log relies on.
+func TestWireFormatPinned(t *testing.T) {
+	recs := []Record{
+		{Decider: "degree2", Horizon: 1, Code: []byte("cycle"), Verdict: true},
+		{Decider: "3col", Horizon: 300, Code: []byte{0, 1, 2}, Verdict: false},
+		{Decider: "", Horizon: 0, Code: nil, Verdict: true},
+	}
+	var want []byte
+	for _, r := range recs {
+		want = append(want, handFrame(r)...)
+	}
+
+	path := filepath.Join(t.TempDir(), "v.log")
+	s := mustOpen(t, path, Options{})
+	for _, r := range recs {
+		if !s.Put(r) {
+			t.Fatalf("Put(%+v) rejected", r)
+		}
+		if err := s.Flush(); err != nil { // one record per batch keeps the order
+			t.Fatalf("Flush: %v", err)
+		}
+	}
+	if err := s.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	got, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(got, want) {
+		t.Fatalf("store wrote\n%x\nwire format says\n%x", got, want)
+	}
+
+	hand := filepath.Join(t.TempDir(), "hand.log")
+	if err := os.WriteFile(hand, want, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s2 := mustOpen(t, hand, Options{})
+	if st := s2.Stats(); st.Recovered != len(recs) || st.TruncatedBytes != 0 {
+		t.Fatalf("hand-written log: %+v, want %d records recovered cleanly", st, len(recs))
+	}
+	for _, r := range recs {
+		if v, ok := s2.Get(r.Decider, r.Horizon, r.Code); !ok || v != r.Verdict {
+			t.Fatalf("hand-written record %+v: got (%v, %v)", r, v, ok)
 		}
 	}
 }
@@ -330,27 +407,109 @@ func TestCompactDropsDeadBytes(t *testing.T) {
 	}
 }
 
-// TestForEachInvertsKeys: ForEach yields every record with fields intact —
-// the warm-up path the decided server uses at startup.
-func TestForEachInvertsKeys(t *testing.T) {
-	s := mustOpen(t, filepath.Join(t.TempDir(), "v.log"), Options{})
-	want := map[string]bool{}
+// TestCompactRoundTripsKeys: Compact writes every frame straight from its
+// in-memory key, so a reopen after Compact must give back every field —
+// decider, horizon, code and verdict — including decider names holding
+// length-prefix-like bytes, an empty decider, an empty code and a horizon
+// using all four of its bytes.
+func TestCompactRoundTripsKeys(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "v.log")
+	s := mustOpen(t, path, Options{})
+	recs := []Record{
+		{Decider: "3col", Horizon: 1, Code: []byte("abc"), Verdict: true},
+		{Decider: "3col", Horizon: 2, Code: []byte("abc"), Verdict: false},
+		{Decider: "3co", Horizon: 1, Code: []byte("labc"), Verdict: false},
+		{Decider: "\x03\x00\x00\x00\xff", Horizon: 7, Code: []byte{0, 0, 0, 0}, Verdict: true},
+		{Decider: "", Horizon: 0, Code: []byte("only-code"), Verdict: true},
+		{Decider: "empty-code", Horizon: 3, Code: nil, Verdict: false},
+		{Decider: "", Horizon: 0, Code: nil, Verdict: true},
+		{Decider: "wide", Horizon: 0x7fff_fff0, Code: bytes.Repeat([]byte{0xa5}, 300), Verdict: true},
+	}
 	for i := 0; i < 20; i++ {
-		r := rec(i, i%2 == 0)
-		s.Put(r)
-		want[fmt.Sprintf("%s/%d/%x", r.Decider, r.Horizon, r.Code)] = r.Verdict
+		recs = append(recs, rec(i, i%2 == 0))
 	}
-	got := map[string]bool{}
-	s.ForEach(func(r Record) {
-		got[fmt.Sprintf("%s/%d/%x", r.Decider, r.Horizon, r.Code)] = r.Verdict
-	})
-	if len(got) != len(want) {
-		t.Fatalf("ForEach yielded %d records, want %d", len(got), len(want))
-	}
-	for k, v := range want {
-		if got[k] != v {
-			t.Fatalf("record %s: verdict %v, want %v", k, got[k], v)
+	for _, r := range recs {
+		if !s.Put(r) {
+			t.Fatalf("Put(%+v) rejected", r)
 		}
+	}
+	if err := s.Compact(); err != nil {
+		t.Fatalf("Compact: %v", err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	s2 := mustOpen(t, path, Options{})
+	if st := s2.Stats(); st.Recovered != len(recs) || st.TruncatedBytes != 0 || st.SkippedSchema != 0 {
+		t.Fatalf("reopen after Compact: %+v, want %d records recovered cleanly", st, len(recs))
+	}
+	for _, r := range recs {
+		if v, ok := s2.Get(r.Decider, r.Horizon, r.Code); !ok || v != r.Verdict {
+			t.Fatalf("record %+v: got (%v, %v), want (%v, true)", r, v, ok, r.Verdict)
+		}
+	}
+	// A field off by one byte is a different key.
+	if _, ok := s2.Get("3col", 1, []byte("ab")); ok {
+		t.Fatal("truncated code served")
+	}
+	if _, ok := s2.Get("3col", 3, []byte("abc")); ok {
+		t.Fatal("wrong horizon served")
+	}
+}
+
+// TestPutRefusesUnrecoverableRecords: a record whose frame recovery would
+// reject — a decider name too long for its two-byte length field, or a
+// payload over maxPayloadBytes — is refused and counted, never appended,
+// so the valid record put after it survives a reopen.
+func TestPutRefusesUnrecoverableRecords(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		bad  Record
+	}{
+		{"long-decider", Record{Decider: strings.Repeat("d", 1<<16), Horizon: 1, Code: []byte("c")}},
+		{"big-code", Record{Decider: "d", Horizon: 1, Code: make([]byte, 2<<20)}},
+		{"payload-one-over", Record{Decider: "d", Horizon: 1, Code: make([]byte, maxPayloadBytes-minPayloadBytes)}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), "v.log")
+			s := mustOpen(t, path, Options{})
+			if s.Put(tc.bad) {
+				t.Fatal("unrecoverable record accepted")
+			}
+			if _, ok := s.Get(tc.bad.Decider, tc.bad.Horizon, tc.bad.Code); ok {
+				t.Fatal("refused record marked known")
+			}
+			good := rec(1, true)
+			if !s.Put(good) {
+				t.Fatal("valid record after the refused one rejected")
+			}
+			if st := s.Stats(); st.Oversized != 1 || st.Records != 1 {
+				t.Fatalf("stats %+v, want Oversized 1, Records 1", st)
+			}
+			if err := s.Close(); err != nil {
+				t.Fatalf("Close: %v", err)
+			}
+			s2 := mustOpen(t, path, Options{})
+			if st := s2.Stats(); st.Recovered != 1 || st.TruncatedBytes != 0 {
+				t.Fatalf("reopen: %+v, want 1 record recovered, nothing truncated", st)
+			}
+			if v, ok := s2.Get(good.Decider, good.Horizon, good.Code); !ok || !v {
+				t.Fatalf("valid record lost after reopen: (%v, %v)", v, ok)
+			}
+		})
+	}
+	// The largest recoverable payload is accepted and recovered.
+	path := filepath.Join(t.TempDir(), "v.log")
+	s := mustOpen(t, path, Options{})
+	edge := Record{Decider: "d", Horizon: 1, Code: make([]byte, maxPayloadBytes-minPayloadBytes-1)}
+	if !s.Put(edge) {
+		t.Fatal("record at exactly maxPayloadBytes refused")
+	}
+	if err := s.Close(); err != nil {
+		t.Fatalf("Close: %v", err)
+	}
+	if st := mustOpen(t, path, Options{}).Stats(); st.Recovered != 1 || st.TruncatedBytes != 0 {
+		t.Fatalf("record at exactly maxPayloadBytes not recovered: %+v", st)
 	}
 }
 
