@@ -3,6 +3,7 @@ package engine
 import (
 	"bytes"
 	"encoding/binary"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -92,8 +93,8 @@ func TestBoundedCacheNeverExceedsCapacity(t *testing.T) {
 // next lookup — eviction degrades to a miss, never to a wrong or missing
 // verdict.
 func TestBoundedCacheEvictionRecompute(t *testing.T) {
-	// A deliberately tiny cache: room for only a handful of entries.
-	c := NewBoundedViewCache(cacheShardCount * 256)
+	// A deliberately tiny cache: room for about two entries per shard.
+	c := NewBoundedViewCache(cacheShardCount * 2 * entryBytes(cacheKey{decider: "d"}, codeFor(0).Bytes))
 	first := codeFor(0)
 	c.lookupOrCompute("d", 1, first, func() Verdict { return Yes })
 	// Churn far past capacity so the first entry is eventually evicted.
@@ -121,7 +122,8 @@ func TestBoundedCacheEvictionRecompute(t *testing.T) {
 // sustained churn evicts the cold entries around it and the hot verdict
 // stays resident — the recency property segmented-LRU/CLOCK buys over FIFO.
 func TestBoundedCacheClockKeepsHotEntry(t *testing.T) {
-	c := NewBoundedViewCache(cacheShardCount * 512)
+	// Room for about four entries per shard.
+	c := NewBoundedViewCache(cacheShardCount * 4 * entryBytes(cacheKey{decider: "d"}, codeFor(0).Bytes))
 	hot := codeFor(1 << 20)
 	c.lookupOrCompute("d", 1, hot, func() Verdict { return Yes })
 	for i := 0; i < 3000; i++ {
@@ -133,6 +135,43 @@ func TestBoundedCacheClockKeepsHotEntry(t *testing.T) {
 	}
 	if c.Stats().Evictions == 0 {
 		t.Fatal("cold churn must evict")
+	}
+}
+
+// TestBoundedCacheBudgetBoundsLiveHeap pins that the byte budget bounds
+// real memory, not just the cache's own accounting: a bounded cache filled
+// with distinct codes until its first eviction — the point where every
+// shard is close to its share of the budget — has grown the live heap by
+// no more than its capacity. The charge per entry (entryBytes) has to cover
+// the arena slot, the map slot and the index slice behind each code: a
+// charge of the code bytes plus 96 B lets 8-byte codes grow the heap to
+// 2.5x the capacity. Not parallel: it reads the process-wide heap.
+func TestBoundedCacheBudgetBoundsLiveHeap(t *testing.T) {
+	const capBytes = 16 << 20
+	for _, size := range []int{8, 32, 100, 256} {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		c := NewBoundedViewCache(capBytes)
+		code := make([]byte, size)
+		n := uint64(0)
+		for ; c.evictions.Load() == 0; n++ {
+			binary.LittleEndian.PutUint64(code, n)
+			key := graph.Code{Fingerprint: graph.Fingerprint(code), Bytes: code}
+			c.lookupOrCompute("decider", 1, key, func() Verdict { return Yes })
+		}
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		growth := int64(after.HeapAlloc) - int64(before.HeapAlloc)
+		st := c.Stats()
+		if growth > capBytes {
+			t.Errorf("%d-byte codes: live heap grew %d B for %d entries (%.0f B each, charged %.0f B), over the %d B capacity",
+				size, growth, st.Entries, float64(growth)/float64(st.Entries), float64(st.Bytes)/float64(st.Entries), int64(capBytes))
+		}
+		if n < 1000 {
+			t.Fatalf("%d-byte codes: first eviction after only %d inserts", size, n)
+		}
+		runtime.KeepAlive(c)
 	}
 }
 

@@ -272,3 +272,48 @@ func TestRawLayerParityWithDedup(t *testing.T) {
 		t.Fatalf("hits %d + evaluated %d != n %d", dedup.Stats.DedupHits, dedup.Stats.Evaluated, l.N())
 	}
 }
+
+// TestCodeFingerprintsSpreadOverShards pins that the cache's shard index —
+// the low bits of a code's fingerprint — spreads real view codes evenly:
+// the distinct raw and canonical codes of a randomly two-letter-labelled
+// cycle, binary tree and grid each fill every shard, and no shard draws
+// more than twice the mean. A fingerprint whose low bits depend only on the
+// low bits of the input bytes crowds the cycle's codes into a quarter of
+// the shards, so a bounded cache evicts from those while the rest of its
+// budget stays idle.
+func TestCodeFingerprintsSpreadOverShards(t *testing.T) {
+	ab := []graph.Label{"a", "b"}
+	hosts := []struct {
+		name string
+		l    *graph.Labeled
+		r    int
+	}{
+		{"cycle5000-r8", graph.RandomLabels(graph.Cycle(5000), ab, 1), 8},
+		{"tree11-r4", graph.RandomLabels(graph.CompleteBinaryTree(11), ab, 2), 4},
+		{"grid50-r3", graph.RandomLabels(graph.Grid(50, 50), ab, 3), 3},
+	}
+	for _, h := range hosts {
+		raw, canon := map[string]uint64{}, map[string]uint64{}
+		x := graph.NewViewExtractor(h.l)
+		for v := 0; v < h.l.N(); v++ {
+			view := x.At(v, h.r)
+			rc := view.RawCode()
+			raw[string(rc.Bytes)] = rc.Fingerprint
+			cc := view.CanonCode()
+			canon[string(cc.Bytes)] = cc.Fingerprint
+		}
+		for kind, codes := range map[string]map[string]uint64{"raw": raw, "canonical": canon} {
+			var perShard [cacheShardCount]int
+			for _, fp := range codes {
+				perShard[fp&(cacheShardCount-1)]++
+			}
+			mean := float64(len(codes)) / cacheShardCount
+			for shard, n := range perShard {
+				if n == 0 || float64(n) > 2*mean {
+					t.Errorf("%s %s codes: shard %d holds %d of %d codes (mean %.1f); want every shard in (0, %.1f]",
+						h.name, kind, shard, n, len(codes), mean, 2*mean)
+				}
+			}
+		}
+	}
+}

@@ -143,3 +143,29 @@ func BenchmarkBallExtraction(b *testing.B) {
 		g.Ball((i*101)%g.N(), 3)
 	}
 }
+
+// BenchmarkFingerprint is the code-fingerprint kernel every cache lookup
+// runs (raw key, canonical code and the integrity re-hash of each hit), over
+// the range of code lengths the engine produces: short canonical codes of
+// small views up to the multi-kilobyte raw codes of long-label views. One
+// op fingerprints 64 KiB as codes of the given length, so even the CI
+// smoke's single iteration times enough work to report a throughput
+// (SetBytes).
+func BenchmarkFingerprint(b *testing.B) {
+	const batch = 64 << 10
+	for _, size := range []int{8, 24, 40, 128, 512, 4096} {
+		buf := fingerprintInput(size)
+		b.Run(fmt.Sprintf("bytes=%d", size), func(b *testing.B) {
+			b.SetBytes(int64(batch / size * size))
+			var h uint64
+			for b.Loop() {
+				for range batch / size {
+					h ^= Fingerprint(buf)
+				}
+			}
+			fingerprintSink = h
+		})
+	}
+}
+
+var fingerprintSink uint64

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/binary"
 	"fmt"
+	"math/bits"
 	"slices"
 	"sort"
 )
@@ -17,8 +18,10 @@ import (
 //
 // The pipeline produces a Code: a full canonical byte encoding (equal iff
 // label- and root-preserving isomorphic, exactly like the legacy string) plus
-// a 64-bit FNV-1a fingerprint of those bytes. Caches key on the fingerprint
-// and keep the byte code only to verify the rare fingerprint collision.
+// a 64-bit fingerprint of those bytes (fingerprint64, a seedless
+// multiply-fold hash that reads 16 bytes per multiply). Caches key on the
+// fingerprint, pick their shard by its low bits, and keep the byte code only
+// to verify the rare fingerprint collision.
 //
 // Rooted inputs first go through the shape-specialised fast paths in
 // fastpath.go (rooted paths, cycles and bounded-degree trees — the dominant
@@ -38,8 +41,10 @@ import (
 // Code is a canonical form of a (rooted) labelled graph. Bytes is a complete
 // canonical encoding: two graphs receive equal Bytes iff they are isomorphic
 // by a label-preserving (and root-preserving, when rooted) map. Fingerprint
-// is the 64-bit FNV-1a hash of Bytes — a compact, deterministic cache key
-// whose collisions must be resolved by comparing Bytes.
+// is Fingerprint(Bytes) — a compact cache key, the same in every process,
+// whose collisions must be resolved by comparing Bytes. Every producer
+// (View.RawCode, the fast paths, the generic encoder and RefinementCode)
+// sets it through the one fingerprint function.
 type Code struct {
 	Fingerprint uint64
 	Bytes       []byte
@@ -57,56 +62,78 @@ func (c Code) Equal(d Code) bool {
 	return c.Fingerprint == d.Fingerprint && bytes.Equal(c.Bytes, d.Bytes)
 }
 
-// FNV-1a 64-bit parameters. FNV is used instead of maphash so fingerprints
-// are stable across workspaces, goroutines and process restarts — the
-// cross-run verdict cache and the recorded benchmark artifacts rely on that
-// determinism.
+// Fingerprint constants: wyhash's five 64-bit primes, fixed in the source.
+// They are constants rather than a per-process seed (as maphash would draw)
+// so fingerprints are stable across workspaces, goroutines and process
+// restarts, and the recorded benchmark artifacts are reproducible.
 const (
-	fnvOffset64 = 14695981039346656037
-	fnvPrime64  = 1099511628211
+	fpSeed = 0xa0761d6478bd642f
+	fpK1   = 0xe7037ed1a0b428db
+	fpK2   = 0x8ebc6af09c88c6e3
+	fpK3   = 0x589965cc75374cc3
+	fpK4   = 0x1d8e4e27c47d124f
 )
 
-// fingerprint64 is FNV-1a over b, consuming 8-byte words per loop iteration
-// with the hash step fully unrolled. FNV-1a chains through every byte, so the
-// word loop cannot reorder or combine steps — it only removes per-byte bounds
-// checks and loop overhead. The output is bit-identical to the byte-at-a-time
-// reference (fingerprint64Scalar, pinned by TestFingerprintUnrolledMatchesScalar).
+// fpMix folds the 128-bit product of a and b into 64 bits. Each result bit
+// depends on every bit of both operands, unless one of them is zero.
+func fpMix(a, b uint64) uint64 {
+	hi, lo := bits.Mul64(a, b)
+	return hi ^ lo
+}
+
+// fingerprint64 is a wyhash-style multiply-fold hash of b, the scheme of the
+// Go runtime's non-AES memhash fallback with fixed constants. Inputs of up
+// to 16 bytes are read as two (possibly overlapping) words; longer inputs
+// fold 16 bytes per multiply, in three independent lanes of 48-byte stripes
+// while more than 48 bytes remain, then one lane over the rest, and the
+// last 16 bytes of the input always enter the final fold. The length is
+// mixed in, so inputs that share their words but differ in length still
+// separate. The length classes — 0, 1–3, 4–8, 9–16, 17–48 and 49 up — are
+// pinned by golden values in code_test.go. Like wyhash it does not resist
+// crafted collisions (a word equal to a constant zeroes its multiply); a
+// collision costs a cache one byte comparison, never a wrong verdict.
 func fingerprint64(b []byte) uint64 {
-	h := uint64(fnvOffset64)
-	for len(b) >= 8 {
-		x := binary.LittleEndian.Uint64(b)
-		h = (h ^ (x & 0xff)) * fnvPrime64
-		h = (h ^ (x >> 8 & 0xff)) * fnvPrime64
-		h = (h ^ (x >> 16 & 0xff)) * fnvPrime64
-		h = (h ^ (x >> 24 & 0xff)) * fnvPrime64
-		h = (h ^ (x >> 32 & 0xff)) * fnvPrime64
-		h = (h ^ (x >> 40 & 0xff)) * fnvPrime64
-		h = (h ^ (x >> 48 & 0xff)) * fnvPrime64
-		h = (h ^ (x >> 56)) * fnvPrime64
-		b = b[8:]
+	n := len(b)
+	seed := uint64(fpSeed)
+	var x, y uint64
+	switch {
+	case n == 0:
+		return fpMix(fpK4, seed)
+	case n < 4:
+		x = uint64(b[0])<<16 | uint64(b[n>>1])<<8 | uint64(b[n-1])
+	case n <= 8:
+		x = uint64(binary.LittleEndian.Uint32(b))
+		y = uint64(binary.LittleEndian.Uint32(b[n-4:]))
+	case n <= 16:
+		x = binary.LittleEndian.Uint64(b)
+		y = binary.LittleEndian.Uint64(b[n-8:])
+	default:
+		// With no stripe to fold, s1 and s2 stay equal to seed and the
+		// merge below leaves seed as it was.
+		p, s1, s2 := b, seed, seed
+		for len(p) > 48 {
+			q := p[:48]
+			seed = fpMix(binary.LittleEndian.Uint64(q)^fpK1, binary.LittleEndian.Uint64(q[8:])^seed)
+			s1 = fpMix(binary.LittleEndian.Uint64(q[16:])^fpK2, binary.LittleEndian.Uint64(q[24:])^s1)
+			s2 = fpMix(binary.LittleEndian.Uint64(q[32:])^fpK3, binary.LittleEndian.Uint64(q[40:])^s2)
+			p = p[48:]
+		}
+		seed ^= s1 ^ s2
+		for len(p) > 16 {
+			seed = fpMix(binary.LittleEndian.Uint64(p)^fpK1, binary.LittleEndian.Uint64(p[8:])^seed)
+			p = p[16:]
+		}
+		x = binary.LittleEndian.Uint64(b[n-16:])
+		y = binary.LittleEndian.Uint64(b[n-8:])
 	}
-	for _, c := range b {
-		h = (h ^ uint64(c)) * fnvPrime64
-	}
-	return h
+	return fpMix(fpK4^uint64(n), fpMix(x^fpK1, y^seed))
 }
 
-// Fingerprint is the exported code-fingerprint function: FNV-1a over b,
-// bit-identical to the Fingerprint field every Code carries for its Bytes.
-// The engine's verdict-cache integrity guard re-hashes stored code bytes
-// through it to detect corrupted entries.
+// Fingerprint is the exported code-fingerprint function, the same hash as
+// the Fingerprint field every Code carries for its Bytes. The engine's
+// verdict cache selects shards by its low bits, and its integrity guard
+// re-hashes stored code bytes through it to detect corrupted entries.
 func Fingerprint(b []byte) uint64 { return fingerprint64(b) }
-
-// fingerprint64Scalar is the byte-at-a-time FNV-1a reference the unrolled
-// word loop is pinned against.
-func fingerprint64Scalar(b []byte) uint64 {
-	h := uint64(fnvOffset64)
-	for _, c := range b {
-		h ^= uint64(c)
-		h *= fnvPrime64
-	}
-	return h
-}
 
 // radixMaxSigLen bounds the refinement-signature length (1 + degree) for
 // which the counting/radix sort runs: an LSD radix pass touches every node

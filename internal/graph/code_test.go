@@ -174,18 +174,103 @@ func TestWorkspaceReuseIsPure(t *testing.T) {
 	}
 }
 
-// TestFingerprintIsFNVOfBytes pins the fingerprint definition: deterministic
-// FNV-1a over the byte code, so cache keys are stable across workspaces,
-// goroutines and runs.
-func TestFingerprintIsFNVOfBytes(t *testing.T) {
-	w := NewCodeWorkspace()
-	c := w.RootedCode(UniformlyLabeled(Cycle(9), "c"), 0)
-	if c.Fingerprint != fingerprint64(c.Bytes) {
-		t.Fatal("fingerprint is not FNV-1a of the byte code")
+// TestEveryCodeProducerFingerprintsItsBytes pins the fingerprint
+// definition: every producer of a Code — View.RawCode, the shape fast paths,
+// the generic encoder and RefinementCode — carries Fingerprint(Bytes), the
+// function the engine's integrity guard re-hashes stored entries with, and
+// the code is deterministic across workspaces.
+func TestEveryCodeProducerFingerprintsItsBytes(t *testing.T) {
+	check := func(what string, c Code) {
+		t.Helper()
+		if c.Fingerprint != Fingerprint(c.Bytes) {
+			t.Fatalf("%s: fingerprint %#x is not Fingerprint of its %d bytes", what, c.Fingerprint, len(c.Bytes))
+		}
 	}
+	w := NewCodeWorkspace()
+	fastSeen := false
+	for _, in := range fastPathFamily(5) {
+		c := w.RootedCode(in.l, in.root)
+		fastSeen = fastSeen || takesFastPath(c)
+		check("rooted code", c)
+		check("generic encoder", w.genericCode(in.l, in.root))
+		check("refinement code", w.RefinementCode(in.l, in.root))
+	}
+	if !fastSeen {
+		t.Fatal("corpus never reaches the fast paths")
+	}
+	check("unrooted generic encoder", w.GraphCode(UniformlyLabeled(Grid(3, 4), "g")))
+	check("empty graph", w.GraphCode(NewLabeled(New(0), nil)))
+	l := RandomLabels(Grid(6, 6), []Label{"a", "bb", "a long label"}, 4)
+	x := NewViewExtractor(l)
+	for v := 0; v < l.N(); v++ {
+		check("raw code", x.At(v, 2).RawCode())
+	}
+
+	c := w.RootedCode(UniformlyLabeled(Cycle(9), "c"), 0).Clone()
 	again := NewCodeWorkspace().RootedCode(UniformlyLabeled(Cycle(9), "c"), 0)
 	if c.Fingerprint != again.Fingerprint || !bytes.Equal(c.Bytes, again.Bytes) {
 		t.Fatal("code not deterministic across workspaces")
+	}
+}
+
+// fingerprintInput is the fixed input of the golden fingerprints: n bytes
+// of an arithmetic pattern that repeats only every 256 bytes.
+func fingerprintInput(n int) []byte {
+	b := make([]byte, n)
+	for i := range b {
+		b[i] = byte(i*131 + 7)
+	}
+	return b
+}
+
+// TestFingerprintGolden pins the fingerprint of fixed inputs at both ends
+// of every length class of the hash (0, 1–3, 4–8, 9–16, 17–48 and the
+// 48-byte stripe loop beyond), so an edit that changes fingerprints fails
+// here rather than silently re-keying every cache.
+func TestFingerprintGolden(t *testing.T) {
+	golden := []struct {
+		n  int
+		fp uint64
+	}{
+		{0, 0x05f03f00e3f460a7},
+		{1, 0xf9316a734c1b517b},
+		{3, 0xcbf28d28a018bef9},
+		{4, 0x5fa94c89c9251013},
+		{8, 0x14d73c6b9cbeafef},
+		{9, 0x51c5f4334eb04854},
+		{16, 0x4aeaf49132b1a33c},
+		{17, 0x7805135f66b9dd21},
+		{48, 0x10929c9a616c29cb},
+		{49, 0x0b36a282170ef3cf},
+		{96, 0x9c7a073e17dfe1f7},
+		{97, 0xd3d5c274ac809847},
+		{1000, 0xbea978e8157861a6},
+	}
+	for _, g := range golden {
+		if got := Fingerprint(fingerprintInput(g.n)); got != g.fp {
+			t.Errorf("Fingerprint of the %d-byte input = %#016x, want %#016x", g.n, got, g.fp)
+		}
+	}
+}
+
+// TestFingerprintSeesEveryBit flips each single bit of random inputs in
+// every length class and requires the fingerprint to change: no input byte
+// is skipped by the word reads, the overlapping tail reads or the lanes.
+func TestFingerprintSeesEveryBit(t *testing.T) {
+	rng := rand.New(rand.NewSource(14))
+	for _, n := range []int{1, 2, 3, 4, 5, 7, 8, 9, 15, 16, 17, 31, 33, 48, 49, 64, 95, 96, 97, 145, 1000} {
+		b := make([]byte, n)
+		for trial := 0; trial < 4; trial++ {
+			rng.Read(b)
+			base := Fingerprint(b)
+			for bit := 0; bit < 8*n; bit++ {
+				b[bit/8] ^= 1 << (bit % 8)
+				if Fingerprint(b) == base {
+					t.Fatalf("len %d trial %d: flipping bit %d left the fingerprint unchanged", n, trial, bit)
+				}
+				b[bit/8] ^= 1 << (bit % 8)
+			}
+		}
 	}
 }
 

@@ -305,25 +305,3 @@ func TestFastPathSizeCap(t *testing.T) {
 		t.Errorf("path above the size cap must take the generic pipeline")
 	}
 }
-
-// TestFingerprintUnrolledMatchesScalar pins the 8-byte-word FNV-1a loop
-// bit-identical to the byte-at-a-time reference on every length mod 8 and on
-// random contents — the satellite fix's only correctness requirement.
-func TestFingerprintUnrolledMatchesScalar(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	for length := 0; length <= 64; length++ {
-		b := make([]byte, length)
-		for trial := 0; trial < 8; trial++ {
-			rng.Read(b)
-			if got, want := fingerprint64(b), fingerprint64Scalar(b); got != want {
-				t.Fatalf("len=%d trial=%d: unrolled %#x != scalar %#x", length, trial, got, want)
-			}
-		}
-	}
-	property := func(b []byte) bool {
-		return fingerprint64(b) == fingerprint64Scalar(b)
-	}
-	if err := quick.Check(property, &quick.Config{MaxCount: 500}); err != nil {
-		t.Error(err)
-	}
-}
