@@ -1,12 +1,6 @@
 package engine
 
-import (
-	"runtime"
-	"sync"
-	"sync/atomic"
-
-	"repro/internal/graph"
-)
+import "repro/internal/graph"
 
 // EvalBatch evaluates one decider on a slice of identifier-carrying
 // instances through a single scheduler launch. Per-outcome verdicts and
@@ -62,29 +56,18 @@ func evalBatch(dec Decider, items []batchItem, opts Options) []Outcome {
 	if len(items) == 0 {
 		return outcomes
 	}
-	sched := opts.Scheduler
-	if sched == nil {
-		sched = Sequential
-	}
-	// One cache handle for the whole batch. Soundness is still gated
-	// per-instance by newJob (identifier-carrying instances keep dedup off);
-	// this only replaces the cache *handle* of the jobs that do dedup, so a
-	// Dedup batch without an explicit Options.Cache shares one private cache
-	// instead of creating one per instance.
-	var cache *ViewCache
-	shared := false
-	if (opts.Dedup || opts.Cache != nil) && dec.DecideRand == nil {
-		if opts.Cache != nil {
-			cache, shared = opts.Cache, true
-		} else if opts.CacheBytes > 0 {
-			cache = NewBoundedViewCache(opts.CacheBytes)
-		} else {
-			cache = NewViewCache()
-		}
-	}
+	// One cache handle for the whole batch, handed to every job as its
+	// Options.Cache, so a Dedup batch without an explicit cache shares one
+	// private cache instead of creating one per instance. Soundness is still
+	// gated per-instance by newJob (identifier-carrying instances keep dedup
+	// off), and Stats.CacheShared still reports whether the caller supplied
+	// the cache.
+	cache, shared := newCache(dec, opts)
+	jobOpts := opts
+	jobOpts.Cache = cache
 	jobs := make([]*job, len(items))
 	for i, it := range items {
-		j, err := newJob(dec, it.l, it.in, opts)
+		j, err := newJob(dec, it.l, it.in, jobOpts)
 		if err != nil {
 			// Validation errors are a property of (decider, options): they
 			// fail every instance of the batch identically.
@@ -93,24 +76,15 @@ func evalBatch(dec Decider, items []batchItem, opts Options) []Outcome {
 			}
 			return outcomes
 		}
-		if j.cache != nil {
-			j.cache, j.shared = cache, shared
-		}
-		j.stats.Scheduler = sched.Name()
+		j.shared = shared
 		jobs[i] = j
 	}
 
-	workers := 1
-	switch s := sched.(type) {
+	width := 1
+	switch s := jobs[0].opts.Scheduler.(type) {
 	case seqScheduler:
 	case shardedScheduler:
-		workers = s.workers
-		if workers <= 0 {
-			workers = runtime.GOMAXPROCS(0)
-		}
-		if workers > len(items) {
-			workers = len(items)
-		}
+		width = poolWidth(s.workers, len(items))
 	default:
 		// MessagePassing (or an unknown backend): no batched form; run each
 		// instance through the scheduler's own per-instance path.
@@ -119,66 +93,31 @@ func evalBatch(dec Decider, items []batchItem, opts Options) []Outcome {
 		}
 		return outcomes
 	}
-
 	if len(items) == 1 {
 		outcomes[0] = jobs[0].run()
 		return outcomes
 	}
 
-	accepted := make([]bool, len(jobs))
-	runWorker := func() {
+	p := &pool{n: len(jobs), width: width}
+	p.run(func(int) {
 		var x *graph.ViewExtractor
-		for i := range jobs {
-			j := jobs[i]
-			if j.n == 0 {
-				continue // surfaced as ErrEmptyInstance below, never an accept
-			}
-			if x == nil {
-				x = j.extractor()
-			} else {
-				j.rebind(x)
-			}
-			accepted[i] = j.runNodes(x)
-		}
-	}
-	if workers <= 1 {
-		runWorker()
-	} else {
-		var next atomic.Int64
-		var wg sync.WaitGroup
-		wg.Add(workers)
-		for w := 0; w < workers; w++ {
-			go func() {
-				defer wg.Done()
-				var x *graph.ViewExtractor
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= len(jobs) {
-						return
-					}
-					j := jobs[i]
-					if j.n == 0 {
-						continue
-					}
-					if x == nil {
-						x = j.extractor()
-					} else {
-						j.rebind(x)
-					}
-					accepted[i] = j.runNodes(x)
+		for i, more := p.claim(); more; i, more = p.claim() {
+			// An empty instance is surfaced as ErrEmptyInstance by outcome,
+			// never an accept.
+			if j := jobs[i]; j.n > 0 {
+				if x == nil {
+					x = j.extractor()
+				} else {
+					j.rebind(x)
 				}
-			}()
+				j.stats.Workers = 1
+				j.evalNodes(&pool{n: j.n, width: 1}, x)
+			}
+			// Each outcome is taken as its instance finishes, so its
+			// CacheSize is the shared cache's size at that point.
+			outcomes[i] = jobs[i].outcome()
 		}
-		wg.Wait()
-	}
-	for i, j := range jobs {
-		if j.n == 0 {
-			j.stats.Workers = 0
-			outcomes[i] = Outcome{Verdicts: j.verdicts, Accepted: false, Err: ErrEmptyInstance, Stats: j.stats}
-			continue
-		}
-		outcomes[i] = j.outcome(accepted[i])
-	}
+	})
 	return outcomes
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"math/rand"
+	"runtime"
 	"testing"
 	"time"
 
@@ -79,7 +80,9 @@ func TestEvalContextUnsetUnchanged(t *testing.T) {
 
 // TestEvalTrialsDeadline: a trial sweep under a deadline returns the
 // committed in-order prefix plus an error wrapping the context's — partial
-// statistics, honestly flagged — and strands no trial workers.
+// statistics, honestly flagged — and strands no trial workers. The sweep
+// asks for 2^26 trials: its buffers must grow with the trials it ran, not
+// with the trials it was asked for.
 func TestEvalTrialsDeadline(t *testing.T) {
 	testutil.VerifyNoLeaks(t)
 	l := graph.UniformlyLabeled(graph.Cycle(32), "u")
@@ -88,20 +91,28 @@ func TestEvalTrialsDeadline(t *testing.T) {
 			time.Sleep(200 * time.Microsecond)
 			return Yes
 		}}
+	const trials = 1 << 26
 	ctx, cancel := context.WithTimeout(context.Background(), 10*time.Millisecond)
 	defer cancel()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
 	start := time.Now()
-	stats, err := EvalTrials(slow, l, TrialOptions{Trials: 100000, Seed: 1, Workers: 4, Ctx: ctx})
+	stats, err := EvalTrials(slow, l, TrialOptions{Trials: trials, Seed: 1, Workers: 4, Ctx: ctx})
 	elapsed := time.Since(start)
+	runtime.ReadMemStats(&after)
 	if err == nil || !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want wrapped context.DeadlineExceeded", err)
 	}
-	if stats.Trials >= 100000 {
+	if stats.Trials >= trials {
 		t.Fatal("sweep ran every trial despite the deadline")
 	}
-	// 100k trials x 32 nodes x 200µs is hours; the deadline must cut fast.
+	// 2^26 trials x 32 nodes x 200µs is years; the deadline must cut fast.
 	if elapsed > 2*time.Second {
 		t.Fatalf("sweep ran %v past a 10ms deadline", elapsed)
+	}
+	// Buffers sized from the requested count would take 2^26 x 2 bytes.
+	if grew := after.TotalAlloc - before.TotalAlloc; grew > 16<<20 {
+		t.Fatalf("a sweep cut after %d trials allocated %d bytes", stats.Trials, grew)
 	}
 	// The committed prefix remains worker-count-invariant data: every
 	// committed trial accepted (the decider always says Yes).

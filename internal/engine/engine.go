@@ -12,13 +12,18 @@
 //     decided once and the verdict shared;
 //   - early-exit aggregation: LOCAL acceptance is all-accept, so in
 //     accept-only evaluations the first reject cancels all outstanding work;
-//   - pluggable schedulers — Sequential, Sharded (worker pool) and
+//   - pluggable schedulers — Sequential, Sharded (worker pool),
 //     MessagePassing (the fidelity-preserving goroutine-per-node flooding
-//     runtime) — all guaranteed to produce identical per-node verdicts,
-//     which the parity suite enforces.
+//     runtime) and ShardedMP (partitioned shards exchanging halo rings) —
+//     all guaranteed to produce identical per-node verdicts, which the
+//     parity suite enforces.
 //
-// The higher layers (internal/local, internal/decide, internal/experiments,
-// cmd/localsim) are thin adapters over Eval and EvalOblivious.
+// Every driver — the schedulers, EvalBatch, Incremental and EvalTrials — is
+// built on one evaluation kernel (kernel.go): per-worker counters merged
+// once, one guarded decide, one worker pool, and one commit path from which
+// acceptance is derived. The higher layers (internal/local, internal/decide,
+// internal/experiments, cmd/localsim) are thin adapters over Eval and
+// EvalOblivious.
 package engine
 
 import (
@@ -349,25 +354,26 @@ type job struct {
 	dec  Decider
 	l    *graph.Labeled
 	in   *graph.Instance // nil for oblivious evaluation
-	opts Options
+	opts Options         // Scheduler resolved: never nil
 
 	n        int
 	cache    *ViewCache // nil when dedup is off or unsound for this input
 	shared   bool       // cache came from Options.Cache (cross-run)
 	verdicts []Verdict
-	stats    Stats
 
 	faults      Injector
 	maxAttempts int
 	backoff     time.Duration
 
-	// done is Options.Ctx's done channel (nil without a context); canceled
-	// latches the first observation so every scheduler loop sees one answer.
-	done     <-chan struct{}
-	canceled atomic.Bool
+	cancelPoll
+	// rejected latches the first committed No.
+	rejected atomic.Bool
 
-	errMu sync.Mutex
-	errs  []VerdictError
+	// mu guards what workers merge into: stats, inserted and errs.
+	mu       sync.Mutex
+	stats    Stats
+	inserted int // canonical entries this job added to the cache
+	errs     []VerdictError
 }
 
 func newJob(dec Decider, l *graph.Labeled, in *graph.Instance, opts Options) (*job, error) {
@@ -382,6 +388,9 @@ func newJob(dec Decider, l *graph.Labeled, in *graph.Instance, opts Options) (*j
 	}
 	if opts.CacheBytes < 0 {
 		return nil, fmt.Errorf("engine: negative CacheBytes %d", opts.CacheBytes)
+	}
+	if opts.Scheduler == nil {
+		opts.Scheduler = Sequential
 	}
 	j := &job{
 		dec:         dec,
@@ -399,26 +408,34 @@ func newJob(dec Decider, l *graph.Labeled, in *graph.Instance, opts Options) (*j
 	if j.backoff == 0 {
 		j.backoff = defaultRetryBackoff
 	}
-	// Dedup (and hence any cache use) is sound only for deterministic
-	// deciders on identifier-free evaluations; the engine silently skips it
-	// otherwise, exactly as before.
-	if (opts.Dedup || opts.Cache != nil) && in == nil && dec.DecideRand == nil {
-		if opts.Cache != nil {
-			j.cache, j.shared = opts.Cache, true
-		} else if opts.CacheBytes > 0 {
-			j.cache = NewBoundedViewCache(opts.CacheBytes)
-		} else {
-			j.cache = NewViewCache()
-		}
+	if in == nil {
+		j.cache, j.shared = newCache(dec, opts)
 	}
 	if opts.Ctx != nil {
 		j.done = opts.Ctx.Done()
 	}
+	j.stats.Scheduler = opts.Scheduler.Name()
 	j.stats.Nodes = j.n
 	if !opts.EarlyExit {
 		j.verdicts = make([]Verdict, j.n)
 	}
 	return j, nil
+}
+
+// newCache resolves the verdict cache of an identifier-free evaluation:
+// Options.Cache when set (shared), else a private bounded or unbounded one
+// when Options.Dedup asks for it. Dedup (and hence any cache use) is sound
+// only for deterministic deciders, so randomized ones get none.
+func newCache(dec Decider, opts Options) (cache *ViewCache, shared bool) {
+	switch {
+	case dec.DecideRand != nil || !opts.Dedup && opts.Cache == nil:
+		return nil, false
+	case opts.Cache != nil:
+		return opts.Cache, true
+	case opts.CacheBytes > 0:
+		return NewBoundedViewCache(opts.CacheBytes), false
+	}
+	return NewViewCache(), false
 }
 
 // defaultMaxAttempts is the per-node attempt budget when Options leaves
@@ -431,34 +448,32 @@ const defaultRetryBackoff = 100 * time.Microsecond
 
 // run dispatches to the scheduler and assembles the outcome.
 func (j *job) run() Outcome {
-	sched := j.opts.Scheduler
-	if sched == nil {
-		sched = Sequential
+	if j.n > 0 {
+		j.opts.Scheduler.run(j)
 	}
-	j.stats.Scheduler = sched.Name()
-	if j.n == 0 {
-		j.stats.Workers = 0
-		return Outcome{Verdicts: j.verdicts, Accepted: false, Err: ErrEmptyInstance, Stats: j.stats}
-	}
-	accepted := sched.run(j)
-	return j.outcome(accepted)
+	return j.outcome()
 }
 
-// outcome assembles the final Outcome after a scheduler run: node-level
-// failures (recorded by the guarded decide path) force Accepted to false and
-// surface as a sorted error list plus a summary Err — a sweep with failed
-// nodes is neither an accept nor a clean reject. A context cancellation
-// observed mid-run likewise yields neither: the outcome reports the
-// cancellation so a serving layer can answer "deadline exceeded" instead of
-// a fabricated verdict.
-func (j *job) outcome(accepted bool) Outcome {
+// outcome assembles the final Outcome after a scheduler run. Acceptance is
+// the absence of a committed No; node-level failures (recorded by the
+// guarded decide path) force it to false and surface as a sorted error list
+// plus a summary Err — a sweep with failed nodes is neither an accept nor a
+// clean reject. A context cancellation observed mid-run likewise yields
+// neither: the outcome reports the cancellation so a serving layer can
+// answer "deadline exceeded" instead of a fabricated verdict.
+func (j *job) outcome() Outcome {
+	if j.n == 0 {
+		return Outcome{Verdicts: j.verdicts, Accepted: false, Err: ErrEmptyInstance, Stats: j.stats}
+	}
+	accepted := !j.rejected.Load()
+	j.stats.EarlyExit = j.opts.EarlyExit && !accepted
+	j.cacheStats(&j.stats)
 	out := Outcome{Verdicts: j.verdicts, Accepted: accepted, Stats: j.stats}
 	if len(j.errs) > 0 {
 		sortVerdictErrors(j.errs)
 		out.Errs = j.errs
 		out.Accepted = false
-		out.Err = fmt.Errorf("engine: %d node(s) failed all %d attempt(s); first: %w",
-			len(j.errs), j.maxAttempts, j.errs[0])
+		out.Err = failedErr(j.errs, j.maxAttempts)
 	}
 	if j.canceled.Load() {
 		out.Accepted = false
@@ -467,19 +482,36 @@ func (j *job) outcome(accepted bool) Outcome {
 	return out
 }
 
-// checkCanceled polls the evaluation's context between nodes: one nil check
-// on context-free evaluations, a latched non-blocking receive otherwise.
-// Once done fires, every scheduler loop sees true and winds down.
-func (j *job) checkCanceled() bool {
-	if j.done == nil {
+// failedErr summarises node failures, sorted by node, as an Outcome.Err.
+func failedErr(errs []VerdictError, attempts int) error {
+	return fmt.Errorf("engine: %d node(s) failed all %d attempt(s); first: %w", len(errs), attempts, errs[0])
+}
+
+// cacheStats fills the cache-side fields of s.
+func (j *job) cacheStats(s *Stats) {
+	if j.cache != nil {
+		s.DistinctViews, s.CacheSize, s.CacheShared = j.inserted, j.cache.Len(), j.shared
+	}
+}
+
+// cancelPoll polls a context between work items: one nil check without a
+// context, a latched non-blocking receive otherwise. Once done fires, every
+// worker sees true and winds down.
+type cancelPoll struct {
+	done     <-chan struct{} // the context's done channel; nil without one
+	canceled atomic.Bool
+}
+
+func (c *cancelPoll) checkCanceled() bool {
+	if c.done == nil {
 		return false
 	}
-	if j.canceled.Load() {
+	if c.canceled.Load() {
 		return true
 	}
 	select {
-	case <-j.done:
-		j.canceled.Store(true)
+	case <-c.done:
+		c.canceled.Store(true)
 		return true
 	default:
 		return false

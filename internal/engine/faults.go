@@ -1,94 +1,18 @@
 package engine
 
 import (
-	"fmt"
 	"sort"
 	"time"
-
-	"repro/internal/graph"
 )
 
-// This file is the engine's crash-hardening layer: every decider invocation
-// runs inside a recover guard with a bounded retry-and-backoff loop, so a
-// panicking decider (or an injected crash from Options.Faults) costs one
-// node's verdict at worst — recorded as a VerdictError on the Outcome —
-// instead of killing the whole process. The guard is compiled into every
-// scheduler's hot path; fault-free overhead is one nil check plus an
-// open-coded defer per node, gated ≤5% by the CI benchgates.
-
-// evalNode runs the full guarded pipeline for one node on a functional
-// scheduler (sequential, sharded, batch): extract the view, consult the dedup
-// cache, decide — retrying up to j.maxAttempts times when an attempt panics.
-// ok reports whether a verdict was produced; on false the node has been
-// recorded in j.errs and the caller must not treat the returned No as a
-// decision. Counters are worker-local, aggregated by the caller.
-func (j *job) evalNode(x *graph.ViewExtractor, v int, evaluated, hits, inserted, crashes, retries *int) (Verdict, bool) {
-	var cause error
-	for a := 0; a < j.maxAttempts; a++ {
-		if a > 0 {
-			*retries++
-			j.backoffSleep(v, a)
-		}
-		verdict, err := j.attemptNode(x, v, a, evaluated, hits, inserted)
-		if err == nil {
-			return verdict, true
-		}
-		*crashes++
-		cause = err
-	}
-	j.recordErr(VerdictError{Node: v, Attempts: j.maxAttempts, Cause: cause})
-	return No, false
-}
-
-// attemptNode is one guarded attempt of evalNode: the recover boundary.
-// View extraction runs inside the guard too — a decider receiving a view is
-// not the only thing that can panic on a corrupted instance.
-func (j *job) attemptNode(x *graph.ViewExtractor, v, attempt int, evaluated, hits, inserted *int) (verdict Verdict, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("panic: %v", r)
-		}
-	}()
-	if j.faults != nil && j.faults.CrashDecide(v, attempt) {
-		panic("injected worker crash")
-	}
-	view := x.At(v, j.dec.Horizon)
-	return cachedVerdict(j, view, v, evaluated, hits, inserted), nil
-}
-
-// guardedVerdict is the retry loop for callers that bring their own decide
-// body (the MessagePassing backend, whose views are assembled from gathered
-// knowledge rather than extracted). Same contract as evalNode.
-func (j *job) guardedVerdict(v int, crashes, retries *int, body func() Verdict) (Verdict, bool) {
-	var cause error
-	for a := 0; a < j.maxAttempts; a++ {
-		if a > 0 {
-			*retries++
-			j.backoffSleep(v, a)
-		}
-		verdict, err := j.attemptBody(v, a, body)
-		if err == nil {
-			return verdict, true
-		}
-		*crashes++
-		cause = err
-	}
-	j.recordErr(VerdictError{Node: v, Attempts: j.maxAttempts, Cause: cause})
-	return No, false
-}
-
-// attemptBody is guardedVerdict's recover boundary.
-func (j *job) attemptBody(v, attempt int, body func() Verdict) (verdict Verdict, err error) {
-	defer func() {
-		if r := recover(); r != nil {
-			err = fmt.Errorf("panic: %v", r)
-		}
-	}()
-	if j.faults != nil && j.faults.CrashDecide(v, attempt) {
-		panic("injected worker crash")
-	}
-	return body(), nil
-}
+// This file holds the engine's crash-hardening policy: the retry backoff
+// and the bookkeeping of nodes whose every attempt crashed. The guarded
+// decide itself (kernel.go) runs every decider invocation inside a recover
+// guard with a bounded retry-and-backoff loop, so a panicking decider (or an
+// injected crash from Options.Faults) costs one node's verdict at worst —
+// recorded as a VerdictError on the Outcome — instead of killing the whole
+// process. Fault-free overhead is one nil check plus an open-coded defer per
+// node, gated ≤5% by the CI benchgates.
 
 // retryBackoffCap bounds the exponential retry backoff: beyond it further
 // attempts wait the capped duration (with jitter) instead of doubling on —
@@ -129,12 +53,12 @@ func backoffDuration(base time.Duration, seed int64, node, attempt int) time.Dur
 	return time.Duration(half + h%(half+1))
 }
 
-// recordErr appends a node failure under the job's error lock (workers
-// record concurrently; outcome() sorts).
+// recordErr appends a node failure under the job's lock (workers record
+// concurrently; outcome() sorts).
 func (j *job) recordErr(e VerdictError) {
-	j.errMu.Lock()
+	j.mu.Lock()
 	j.errs = append(j.errs, e)
-	j.errMu.Unlock()
+	j.mu.Unlock()
 }
 
 // sortVerdictErrors orders failures by node index so Outcome.Errs is

@@ -5,6 +5,7 @@ package engine_test
 
 import (
 	"errors"
+	"fmt"
 	"reflect"
 	"sync/atomic"
 	"testing"
@@ -46,63 +47,83 @@ func testInstance(n int) *graph.Labeled {
 }
 
 // Worker crashes must never lose or duplicate a node's verdict: whatever the
-// scheduler or worker count, a crashed decide is respawned and the committed
+// driver or worker count, a crashed decide is respawned and the committed
 // verdicts match the fault-free run exactly (or surface as VerdictErrors —
 // never as silent wrong verdicts). Crash draws are pure in (node, attempt),
-// so the whole fault trace replays identically everywhere.
+// so the whole fault trace, and with it the crash and retry tallies every
+// driver merges from its workers, replays identically everywhere. The
+// 256-node instance is above the sharded scheduler's inline threshold, so
+// the pooled rows really run on a pool there.
 func TestCrashRespawnNeverLosesVerdicts(t *testing.T) {
-	l := testInstance(60)
-	dec := degreeDecider()
-	clean := engine.EvalOblivious(dec, l, engine.Options{})
-	if clean.Err != nil {
-		t.Fatal(clean.Err)
-	}
-
 	plan := &fault.Plan{Seed: 21, Crash: &fault.CrashModel{Rate: 0.4}}
-	type runKey struct {
-		name  string
-		sched engine.Scheduler
+	opts := func(s engine.Scheduler) engine.Options {
+		return engine.Options{Scheduler: s, Faults: plan, MaxAttempts: 8, RetryBackoff: -1}
 	}
-	runs := []runKey{
-		{"sequential", engine.Sequential},
-		{"sharded-2", engine.ShardedWith(2)},
-		{"sharded-8", engine.ShardedWith(8)},
-		{"mp", engine.MessagePassing},
+	eval := func(s engine.Scheduler) func(*graph.Labeled) engine.Outcome {
+		return func(l *graph.Labeled) engine.Outcome { return engine.EvalOblivious(degreeDecider(), l, opts(s)) }
 	}
-	var base engine.Outcome
-	for i, rk := range runs {
-		out := engine.EvalOblivious(dec, l, engine.Options{
-			Scheduler:    rk.sched,
-			Faults:       plan,
-			MaxAttempts:  8,
-			RetryBackoff: -1,
-		})
-		if len(out.Errs) != 0 {
-			// Rate 0.4 with 8 attempts: per-node failure odds 0.4^8. The
-			// trace is deterministic, so this is a fixed property of seed 21.
-			t.Fatalf("%s: unexpected exhausted nodes %v", rk.name, out.Errs)
+	runs := []struct {
+		name string
+		run  func(*graph.Labeled) engine.Outcome
+	}{
+		{"sequential", eval(engine.Sequential)},
+		{"sharded-2", eval(engine.ShardedWith(2))},
+		{"sharded-8", eval(engine.ShardedWith(8))},
+		{"mp", eval(engine.MessagePassing)},
+		{"sharded-mp-2", eval(engine.ShardedMPWith(2))},
+		{"batch-sharded-2", func(l *graph.Labeled) engine.Outcome {
+			outs := engine.EvalBatchOblivious(degreeDecider(), []*graph.Labeled{l, l}, opts(engine.ShardedWith(2)))
+			if !reflect.DeepEqual(outs[0], outs[1]) {
+				t.Errorf("batch: one instance twice gave two outcomes")
+			}
+			return outs[0]
+		}},
+		{"incremental-sharded-2", func(l *graph.Labeled) engine.Outcome {
+			// The session takes ownership of its host.
+			inc, err := engine.NewIncremental(degreeDecider(), l.Clone(), opts(engine.ShardedWith(2)))
+			if err != nil {
+				t.Fatal(err)
+			}
+			return inc.Outcome()
+		}},
+	}
+	for _, n := range []int{60, 256} {
+		l := testInstance(n)
+		clean := engine.EvalOblivious(degreeDecider(), l, engine.Options{})
+		if clean.Err != nil {
+			t.Fatal(clean.Err)
 		}
-		if out.Err != nil {
-			t.Fatalf("%s: %v", rk.name, out.Err)
-		}
-		if !reflect.DeepEqual(out.Verdicts, clean.Verdicts) || out.Accepted != clean.Accepted {
-			t.Errorf("%s: crash respawn changed verdicts", rk.name)
-		}
-		if out.Stats.Crashes == 0 {
-			t.Errorf("%s: rate 0.4 injected no crashes", rk.name)
-		}
-		if out.Stats.Retries != out.Stats.Crashes {
-			t.Errorf("%s: crashes=%d retries=%d, want equal when no node exhausts",
-				rk.name, out.Stats.Crashes, out.Stats.Retries)
-		}
-		if i == 0 {
-			base = out
-			continue
-		}
-		// The fault trace is scheduler- and worker-count-invariant.
-		if out.Stats.Crashes != base.Stats.Crashes || out.Stats.Retries != base.Stats.Retries {
-			t.Errorf("%s: fault tally (crashes=%d retries=%d) diverged from sequential (%d, %d)",
-				rk.name, out.Stats.Crashes, out.Stats.Retries, base.Stats.Crashes, base.Stats.Retries)
+		var base engine.Outcome
+		for i, rk := range runs {
+			name := fmt.Sprintf("n=%d/%s", n, rk.name)
+			out := rk.run(l)
+			if len(out.Errs) != 0 {
+				// Rate 0.4 with 8 attempts: per-node failure odds 0.4^8. The
+				// trace is deterministic, so this is a fixed property of seed 21.
+				t.Fatalf("%s: unexpected exhausted nodes %v", name, out.Errs)
+			}
+			if out.Err != nil {
+				t.Fatalf("%s: %v", name, out.Err)
+			}
+			if !reflect.DeepEqual(out.Verdicts, clean.Verdicts) || out.Accepted != clean.Accepted {
+				t.Errorf("%s: crash respawn changed verdicts", name)
+			}
+			if out.Stats.Crashes == 0 {
+				t.Errorf("%s: rate 0.4 injected no crashes", name)
+			}
+			if out.Stats.Retries != out.Stats.Crashes {
+				t.Errorf("%s: crashes=%d retries=%d, want equal when no node exhausts",
+					name, out.Stats.Crashes, out.Stats.Retries)
+			}
+			if i == 0 {
+				base = out
+				continue
+			}
+			// The fault trace is driver- and worker-count-invariant.
+			if out.Stats.Crashes != base.Stats.Crashes || out.Stats.Retries != base.Stats.Retries {
+				t.Errorf("%s: fault tally (crashes=%d retries=%d) diverged from sequential (%d, %d)",
+					name, out.Stats.Crashes, out.Stats.Retries, base.Stats.Crashes, base.Stats.Retries)
+			}
 		}
 	}
 }

@@ -2,9 +2,6 @@ package engine
 
 import (
 	"fmt"
-	"runtime"
-	"sync"
-	"sync/atomic"
 
 	"repro/internal/graph"
 )
@@ -48,9 +45,9 @@ type EdgeOp struct {
 // scheduler repairs sequentially (its goroutine-per-node flooding evaluates
 // whole instances; dirty subsets go through the functional pipeline).
 // Options.Cache and Options.Faults work exactly as in Eval: a shared cache
-// warms the session across restarts (cmd/decided replays its verdict store
-// into one), and injected decider crashes surface as per-node errors that
-// heal on the next touching update.
+// warms the session across restarts (cmd/decided attaches its verdict store
+// to one through the cache's load hook), and injected decider crashes
+// surface as per-node errors that heal on the next touching update.
 //
 // The session owns its instance: after NewIncremental, every mutation of the
 // graph must go through ApplyEdge/ApplyUpdates and every label change
@@ -59,14 +56,19 @@ type EdgeOp struct {
 // session panics on the next update if the graph's generation moved without
 // it. An Incremental is not safe for concurrent use.
 type Incremental struct {
-	dec  Decider
-	l    *graph.Labeled
-	opts Options
-	n    int
+	dec Decider
+	l   *graph.Labeled
+	n   int
 
 	j    *job
 	trav *graph.Traversal
 	xs   []*graph.ViewExtractor
+
+	// The repair pool and its worker body, bound once per session: a closure
+	// built per repair would escape through the pool's go statement and cost
+	// the steady state an allocation per update.
+	pool       pool
+	repairWork func(w int)
 
 	// Resident state: one verdict per node plus the aggregate counters that
 	// make Accepted O(1). failed marks nodes whose last repair crashed every
@@ -93,8 +95,7 @@ type Incremental struct {
 	// session's back.
 	gen uint64
 
-	inserted int
-	updates  int
+	updates int
 }
 
 // NewIncremental opens a session on l, runs the initial full evaluation with
@@ -114,7 +115,6 @@ func NewIncremental(dec Decider, l *graph.Labeled, opts Options) (*Incremental, 
 	inc := &Incremental{
 		dec:      dec,
 		l:        l,
-		opts:     opts,
 		n:        j.n,
 		j:        j,
 		trav:     graph.NewTraversal(),
@@ -123,7 +123,14 @@ func NewIncremental(dec Decider, l *graph.Labeled, opts Options) (*Incremental, 
 		mark:     make([]uint64, j.n),
 		gen:      l.G.Generation(),
 	}
-	inc.j.stats.Scheduler = "incremental(" + inc.schedulerName() + ")"
+	inc.repairWork = inc.repairWorker
+	if _, ok := j.opts.Scheduler.(shardedScheduler); !ok {
+		// Only the sharded pool repairs dirty subsets in parallel; every
+		// other backend, MessagePassing included (its flooding runtime is
+		// whole-instance by construction), repairs sequentially.
+		j.opts.Scheduler = Sequential
+	}
+	j.stats.Scheduler = "incremental(" + j.opts.Scheduler.Name() + ")"
 	// Convert the host to its dynamic representation now, while the O(n)
 	// initial evaluation dominates anyway. Left to the lazy conversion in
 	// ApplyUpdate, the first update of the session would pay a hidden O(n+m)
@@ -250,8 +257,7 @@ func (inc *Incremental) Updates() int { return inc.updates }
 // evaluation and every repair since.
 func (inc *Incremental) Stats() Stats {
 	stats := inc.j.stats
-	stats.EarlyExit = false
-	inc.finishStats(&stats)
+	inc.j.cacheStats(&stats)
 	return stats
 }
 
@@ -271,8 +277,7 @@ func (inc *Incremental) Outcome() Outcome {
 			out.Errs = append(out.Errs, e)
 		}
 		sortVerdictErrors(out.Errs)
-		out.Err = fmt.Errorf("engine: %d node(s) failed all %d attempt(s); first: %w",
-			len(out.Errs), inc.j.maxAttempts, out.Errs[0])
+		out.Err = failedErr(out.Errs, inc.j.maxAttempts)
 	}
 	return out
 }
@@ -325,9 +330,10 @@ func (inc *Incremental) collectBall(v int) {
 	}
 }
 
-// repair re-decides every node in the dirty set against the current graph
-// through the guarded evalNode pipeline (extraction, cache, retry), then
-// commits the verdict deltas into the resident table single-threaded.
+// repair re-decides every node in the dirty set against the current
+// graph through the guarded decide (extraction, cache, retry) on the repair
+// pool, then commits the verdict deltas into the resident table
+// single-threaded.
 func (inc *Incremental) repair() {
 	k := len(inc.dirty)
 	if k == 0 {
@@ -337,59 +343,35 @@ func (inc *Incremental) repair() {
 		inc.res = make([]Verdict, k)
 		inc.ok = make([]bool, k)
 	}
-	res, oks := inc.res[:k], inc.ok[:k]
-
-	workers := inc.repairWorkers(k)
-	if workers > inc.j.stats.Workers {
-		// Stats.Workers reports the session's high-water pool size: repairs
-		// pick their own width per dirty set.
-		inc.j.stats.Workers = workers
+	inc.res, inc.ok = inc.res[:k], inc.ok[:k]
+	width := 1
+	if s, ok := inc.j.opts.Scheduler.(shardedScheduler); ok {
+		width = s.width(k)
 	}
-	if workers <= 1 {
-		x := inc.extractor(0)
-		for i, v := range inc.dirty {
-			res[i], oks[i] = inc.j.evalNode(x, v,
-				&inc.j.stats.Evaluated, &inc.j.stats.DedupHits, &inc.inserted,
-				&inc.j.stats.Crashes, &inc.j.stats.Retries)
-		}
-	} else {
-		for w := 0; w < workers; w++ {
-			inc.extractor(w) // bind before launch; extractor() is not goroutine-safe
-		}
-		var (
-			next atomic.Int64
-			mu   sync.Mutex
-			wg   sync.WaitGroup
-		)
-		wg.Add(workers)
-		for w := 0; w < workers; w++ {
-			go func(x *graph.ViewExtractor) {
-				defer wg.Done()
-				evaluated, hits, ins, crashes, retries := 0, 0, 0, 0, 0
-				for {
-					i := int(next.Add(1)) - 1
-					if i >= k {
-						break
-					}
-					res[i], oks[i] = inc.j.evalNode(x, inc.dirty[i],
-						&evaluated, &hits, &ins, &crashes, &retries)
-				}
-				mu.Lock()
-				inc.j.stats.Evaluated += evaluated
-				inc.j.stats.DedupHits += hits
-				inc.j.stats.Crashes += crashes
-				inc.j.stats.Retries += retries
-				inc.inserted += ins
-				mu.Unlock()
-			}(inc.xs[w])
-		}
-		wg.Wait()
+	// Stats.Workers reports the session's high-water pool size: repairs pick
+	// their own width per dirty set.
+	inc.j.stats.Workers = max(inc.j.stats.Workers, width)
+	for w := 0; w < width; w++ {
+		inc.extractor(w) // bind before launch; extractor() is not goroutine-safe
 	}
-
+	inc.pool.reset(k, width)
+	inc.pool.run(inc.repairWork)
 	for i, v := range inc.dirty {
-		inc.commit(v, res[i], oks[i])
+		inc.commit(v, inc.res[i], inc.ok[i])
 	}
 	inc.drainErrs()
+}
+
+// repairWorker is worker w's share of a repair: it decides the dirty nodes
+// the pool hands it into the result buffers.
+func (inc *Incremental) repairWorker(w int) {
+	j := inc.j
+	nw := nodeWorker{j: j, x: inc.xs[w]}
+	decide := nw.decide
+	for i, more := inc.pool.claim(); more; i, more = inc.pool.claim() {
+		inc.res[i], inc.ok[i] = j.guarded(&nw.c, inc.dirty[i], decide)
+	}
+	j.merge(&nw.c)
 }
 
 // commit replaces node v's resident verdict, maintaining the aggregate
@@ -442,45 +424,4 @@ func (inc *Incremental) extractor(w int) *graph.ViewExtractor {
 	x := inc.xs[w]
 	x.Reset(inc.l)
 	return x
-}
-
-// repairWorkers picks the sweep's worker count from the configured
-// scheduler: sharded repairs use its pool (capped at the dirty count),
-// everything else — including MessagePassing, whose flooding runtime is
-// whole-instance by construction — repairs sequentially. Sub-threshold
-// sweeps run inline like the sharded scheduler does.
-func (inc *Incremental) repairWorkers(k int) int {
-	s, ok := inc.opts.Scheduler.(shardedScheduler)
-	if !ok || k < shardedMinNodes {
-		return 1
-	}
-	workers := s.workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > k {
-		workers = k
-	}
-	return workers
-}
-
-// schedulerName names the configured repair backend for stats.
-func (inc *Incremental) schedulerName() string {
-	if inc.opts.Scheduler == nil {
-		return Sequential.Name()
-	}
-	if _, ok := inc.opts.Scheduler.(shardedScheduler); !ok {
-		return Sequential.Name()
-	}
-	return inc.opts.Scheduler.Name()
-}
-
-// finishStats fills the cache-side fields of a stats snapshot.
-func (inc *Incremental) finishStats(stats *Stats) {
-	if inc.j.cache == nil {
-		return
-	}
-	stats.DistinctViews = inc.inserted
-	stats.CacheSize = inc.j.cache.Len()
-	stats.CacheShared = inc.j.shared
 }

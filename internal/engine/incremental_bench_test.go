@@ -46,35 +46,44 @@ func BenchmarkIncrementalVsScratch(b *testing.B) {
 	})
 }
 
-// BenchmarkIncrementalUpdates pins sustained absorption of a rotating toggle
-// stream per family. The random family runs at horizon 2 with no dedup:
-// radius balls blow up fast at expected degree 4, and the near-star views of
-// sparse random graphs are the canonical code's factorial worst case.
-func BenchmarkIncrementalUpdates(b *testing.B) {
-	families := []struct {
-		name    string
-		host    func() *graph.Graph
-		horizon int
-	}{
-		{"cycle100k-r16", func() *graph.Graph { return graph.Cycle(100_000) }, 16},
-		{"pyramid8-r4", func() *graph.Graph { return tree.NewPyramid(8).G }, 4},
-		{"random50k-r2", func() *graph.Graph { return graph.Random(50_000, 0.00008, 7) }, 2},
+// updateFamilies are the hosts of the sustained update stream. The random
+// family runs at horizon 2 with no dedup: radius balls blow up fast at
+// expected degree 4, and the near-star views of sparse random graphs are the
+// canonical code's factorial worst case.
+var updateFamilies = []struct {
+	name    string
+	host    func() *graph.Graph
+	horizon int
+}{
+	{"cycle100k-r16", func() *graph.Graph { return graph.Cycle(100_000) }, 16},
+	{"pyramid8-r4", func() *graph.Graph { return tree.NewPyramid(8).G }, 4},
+	{"random50k-r2", func() *graph.Graph { return graph.Random(50_000, 0.00008, 7) }, 2},
+}
+
+// togglePairs draws the 64 endpoint pairs an update stream over n nodes
+// toggles in rotation.
+func togglePairs(n int) [][2]int {
+	rng := rand.New(rand.NewSource(1))
+	pairs := make([][2]int, 64)
+	for i := range pairs {
+		u, v := rng.Intn(n), rng.Intn(n)
+		for u == v {
+			v = rng.Intn(n)
+		}
+		pairs[i] = [2]int{u, v}
 	}
-	for _, f := range families {
+	return pairs
+}
+
+// BenchmarkIncrementalUpdates pins sustained absorption of a rotating toggle
+// stream per family.
+func BenchmarkIncrementalUpdates(b *testing.B) {
+	for _, f := range updateFamilies {
 		b.Run(f.name, func(b *testing.B) {
 			host := f.host()
-			n := host.N()
 			l := graph.UniformlyLabeled(host, "c")
 			inc := MustNewIncremental(cheapDecider(f.horizon), l, Options{})
-			rng := rand.New(rand.NewSource(1))
-			pairs := make([][2]int, 64)
-			for i := range pairs {
-				u, v := rng.Intn(n), rng.Intn(n)
-				for u == v {
-					v = rng.Intn(n)
-				}
-				pairs[i] = [2]int{u, v}
-			}
+			pairs := togglePairs(host.N())
 			b.ReportAllocs()
 			b.ResetTimer()
 			dirty := 0

@@ -280,3 +280,30 @@ func TestIncrementalShardedRepair(t *testing.T) {
 		t.Fatalf("sharded session never used its pool (workers=%d)", ws)
 	}
 }
+
+// TestIncrementalRepairAllocationFree pins the steady state of a resident
+// session: once warm, absorbing an edge update — dirty-ball collection,
+// extraction, decide and commit — allocates nothing, on every family of
+// BenchmarkIncrementalUpdates. One rotation of the toggle stream (every
+// pair added, then removed) warms the session first: the first touch of a
+// row or a larger ball than before grows the dynamic graph and the scratch
+// buffers once.
+func TestIncrementalRepairAllocationFree(t *testing.T) {
+	for _, f := range updateFamilies {
+		host := f.host()
+		inc := MustNewIncremental(cheapDecider(f.horizon), graph.UniformlyLabeled(host, "c"), Options{})
+		pairs := togglePairs(host.N())
+		i := 0
+		update := func() {
+			p := pairs[i%len(pairs)]
+			inc.ApplyEdge(p[0], p[1], !host.HasEdge(p[0], p[1]))
+			i++
+		}
+		for range 2 * len(pairs) {
+			update()
+		}
+		if allocs := testing.AllocsPerRun(2*len(pairs), update); allocs != 0 {
+			t.Errorf("%s: %v allocs per update, want 0", f.name, allocs)
+		}
+	}
+}

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/graph"
 )
@@ -192,43 +191,70 @@ func assembleView(x *graph.ViewExtractor, know *knowledge, centre, t int, oblivi
 	return view
 }
 
+// decideGathered decides node v from the knowledge it gathered: the ball
+// restricted to radius t, assembled on a pooled extractor.
+func (j *job) decideGathered(know *knowledge, v int) Verdict {
+	x := mpAssemblers.Get().(*graph.ViewExtractor)
+	verdict := j.decideView(assembleView(x, know, v, j.dec.Horizon, j.in == nil), v)
+	mpAssemblers.Put(x)
+	return verdict
+}
+
+// decideFlooded is the flooding runtimes' decide step for node v, run after
+// the protocol: the guarded decide plus commit, skipped once an early-exit
+// evaluation has seen a No (the protocol itself must run to completion —
+// neighbours depend on this node's sends). Evaluated counts the node once,
+// however many attempts it took.
+func (j *job) decideFlooded(c *counters, v int, body func(v int) Verdict) {
+	if j.exited() {
+		return
+	}
+	verdict, ok := j.guarded(c, v, body)
+	c.evaluated++
+	j.commit(v, verdict, ok)
+}
+
+// hiddenID is node v's routing identifier in the flooding runtimes: the
+// instance's real identifier when the evaluation carries them, a throwaway
+// node index otherwise (stripped from the assembled views before the
+// decider sees them).
+func (j *job) hiddenID(v int) int {
+	if j.in == nil {
+		return v
+	}
+	return j.in.IDs[v]
+}
+
 type mpScheduler struct{}
 
 func (mpScheduler) Name() string { return "message-passing" }
 
-func (mpScheduler) run(j *job) bool {
+func (mpScheduler) run(j *job) {
+	// The flooding runtime assembles every view operationally and never
+	// deduplicates (see Options.Dedup).
+	j.cache = nil
 	// Cancellation is honoured at launch only: mid-protocol the per-node
 	// goroutines are interlocked through round barriers (a node that stops
 	// sending deadlocks its neighbours), so bounded rounds come from
 	// Options.RoundTimeout, not Ctx. See Options.Ctx.
 	if j.checkCanceled() {
-		return false
+		return
 	}
+	j.stats.Rounds = j.dec.Horizon
+	j.stats.Workers = j.n
 	// Fault injection or a round timeout switches to the hardened runtime
 	// (mpfaulty.go); the lossless path below stays byte-identical to the
 	// seed-era protocol apart from the guarded decide stage.
 	if j.faults != nil || j.opts.RoundTimeout > 0 {
-		return runMPFaulty(j)
+		runMPFaulty(j)
+		return
 	}
-	return runMPLossless(j)
+	runMPLossless(j)
 }
 
-func runMPLossless(j *job) bool {
+func runMPLossless(j *job) {
 	n := j.n
 	t := j.dec.Horizon
-	j.stats.Rounds = t
-	j.stats.Workers = n
-
-	// Hidden routing identifiers: the instance's real identifiers when the
-	// evaluation carries them, throwaway node indices otherwise (stripped
-	// from the assembled views before the decider sees them).
-	oblivious := j.in == nil
-	idOf := func(v int) int {
-		if oblivious {
-			return v
-		}
-		return j.in.IDs[v]
-	}
 
 	// Per-directed-edge channels, buffered for one message: within a round
 	// every node first sends to all neighbours, then receives, so a buffer
@@ -241,18 +267,13 @@ func runMPLossless(j *job) bool {
 		}
 	}
 
-	var (
-		rejected  atomic.Bool
-		statsMu   sync.Mutex
-		wg        sync.WaitGroup
-		evaluated atomic.Int64
-	)
+	var wg sync.WaitGroup
 	wg.Add(n)
 	for v := 0; v < n; v++ {
 		go func(v int) {
 			defer wg.Done()
-			buf := newNodeKnowledge(j, v, idOf(v))
-			sent, units := 0, 0
+			var c counters
+			buf := newNodeKnowledge(j, v, j.hiddenID(v))
 			for round := 0; round < t; round++ {
 				// Send a snapshot to every neighbour, then receive from every
 				// neighbour. The per-edge one-slot buffers make each round a
@@ -260,45 +281,16 @@ func runMPLossless(j *job) bool {
 				snapshot := buf.snapshot()
 				for _, u := range j.l.G.Neighbors(v) {
 					chans[edgeKey{from: v, to: int(u)}] <- snapshot
-					sent++
-					units += snapshot.size()
+					c.messages++
+					c.units += snapshot.size()
 				}
 				for _, u := range j.l.G.Neighbors(v) {
 					buf.absorb(<-chans[edgeKey{from: int(u), to: v}])
 				}
 			}
-			// The protocol itself must run to completion (neighbours depend
-			// on this node's sends), but once a reject is known an
-			// early-exit evaluation skips the remaining decide calls.
-			crashes, retries := 0, 0
-			if !(j.opts.EarlyExit && rejected.Load()) {
-				verdict, ok := j.guardedVerdict(v, &crashes, &retries, func() Verdict {
-					x := mpAssemblers.Get().(*graph.ViewExtractor)
-					verdict := j.decideView(assembleView(x, buf.cur, v, t, oblivious), v)
-					mpAssemblers.Put(x)
-					return verdict
-				})
-				evaluated.Add(1)
-				if ok {
-					if j.verdicts != nil {
-						j.verdicts[v] = verdict
-					}
-					if verdict == No {
-						rejected.Store(true)
-					}
-				}
-			}
-			statsMu.Lock()
-			j.stats.Messages += sent
-			j.stats.KnowledgeUnits += units
-			j.stats.Crashes += crashes
-			j.stats.Retries += retries
-			statsMu.Unlock()
+			j.decideFlooded(&c, v, func(v int) Verdict { return j.decideGathered(buf.cur, v) })
+			j.merge(&c)
 		}(v)
 	}
 	wg.Wait()
-	accepted := !rejected.Load()
-	j.stats.Evaluated = int(evaluated.Load())
-	j.stats.EarlyExit = j.opts.EarlyExit && !accepted
-	return accepted
 }

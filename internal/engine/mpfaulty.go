@@ -2,7 +2,6 @@ package engine
 
 import (
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"repro/internal/graph"
@@ -194,19 +193,9 @@ func (b *roundBarrier) wait(timeout time.Duration) bool {
 
 // runMPFaulty is the hardened message-passing run; see the file comment for
 // the protocol and the degradation ladder.
-func runMPFaulty(j *job) bool {
+func runMPFaulty(j *job) {
 	n := j.n
 	t := j.dec.Horizon
-	j.stats.Rounds = t
-	j.stats.Workers = n
-
-	oblivious := j.in == nil
-	idOf := func(v int) int {
-		if oblivious {
-			return v
-		}
-		return j.in.IDs[v]
-	}
 
 	plan := j.planFates(t)
 	j.stats.Dropped = plan.dropped
@@ -229,24 +218,18 @@ func runMPFaulty(j *job) bool {
 
 	barrier := newRoundBarrier(n)
 	var (
-		rejected  atomic.Bool
-		statsMu   sync.Mutex
-		wg        sync.WaitGroup
-		evaluated atomic.Int64
-
-		fallbackMu sync.Mutex
-		fallbackX  fallbackExtractor
+		wg       sync.WaitGroup
+		fallback fallbackExtractor
 	)
 	wg.Add(n)
 	for v := 0; v < n; v++ {
 		go func(v int) {
 			defer wg.Done()
-			buf := newNodeKnowledge(j, v, idOf(v))
+			var c counters
+			buf := newNodeKnowledge(j, v, j.hiddenID(v))
 			var pending []mpMsg
 			incomplete := !plan.clean[v]
-			timedOut := 0
 			left := false
-			sent, units := 0, 0
 			for round := 0; round < t; round++ {
 				snapshot := buf.snapshot()
 				for _, u := range j.l.G.Neighbors(v) {
@@ -255,14 +238,14 @@ func runMPFaulty(j *job) bool {
 						continue
 					}
 					m := mpMsg{sendRound: round, deliverRound: round + fate.Delay, know: snapshot}
-					for c := 0; c <= fate.Duplicates; c++ {
+					for d := 0; d <= fate.Duplicates; d++ {
 						chans[edgeKey{from: v, to: int(u)}] <- m
-						sent++
-						units += snapshot.size()
+						c.messages++
+						c.units += snapshot.size()
 					}
 				}
 				if !left && !barrier.wait(j.opts.RoundTimeout) {
-					timedOut++
+					c.timedOut++
 					incomplete = true
 					left = true
 				}
@@ -313,64 +296,33 @@ func runMPFaulty(j *job) bool {
 				}
 			}
 
-			crashes, retries := 0, 0
-			if !(j.opts.EarlyExit && rejected.Load()) {
-				var verdict Verdict
-				var ok bool
-				if incomplete {
-					verdict, ok = j.guardedVerdict(v, &crashes, &retries, func() Verdict {
-						return fallbackX.decide(j, &fallbackMu, v)
-					})
-				} else {
-					verdict, ok = j.guardedVerdict(v, &crashes, &retries, func() Verdict {
-						x := mpAssemblers.Get().(*graph.ViewExtractor)
-						verdict := j.decideView(assembleView(x, buf.cur, v, t, oblivious), v)
-						mpAssemblers.Put(x)
-						return verdict
-					})
-				}
-				evaluated.Add(1)
-				if ok {
-					if j.verdicts != nil {
-						j.verdicts[v] = verdict
-					}
-					if verdict == No {
-						rejected.Store(true)
-					}
-				}
-			}
-			statsMu.Lock()
-			j.stats.Messages += sent
-			j.stats.KnowledgeUnits += units
-			j.stats.Crashes += crashes
-			j.stats.Retries += retries
-			j.stats.TimedOutRounds += timedOut
 			if incomplete {
-				j.stats.IncompleteViews++
+				c.incomplete++
+				j.decideFlooded(&c, v, func(v int) Verdict { return fallback.decide(j, v) })
+			} else {
+				j.decideFlooded(&c, v, func(v int) Verdict { return j.decideGathered(buf.cur, v) })
 			}
-			statsMu.Unlock()
+			j.merge(&c)
 		}(v)
 	}
 	wg.Wait()
-	accepted := !rejected.Load()
-	j.stats.Evaluated = int(evaluated.Load())
-	j.stats.EarlyExit = j.opts.EarlyExit && !accepted
-	return accepted
 }
 
 // fallbackExtractor is the shared, lazily-built extractor serving incomplete
 // nodes: one per faulty run, mutex-guarded because extractor views are
 // scratch-backed and the decide must finish before the next extraction.
 type fallbackExtractor struct {
-	x *graph.ViewExtractor
+	mu sync.Mutex
+	x  *graph.ViewExtractor
 }
 
 // decide extracts node v's true functional view and decides it, serialised
-// on mu. The extracted view is exactly the functional definition of the
-// node's radius-t view, so fallback verdicts equal lossless verdicts.
-func (f *fallbackExtractor) decide(j *job, mu *sync.Mutex, v int) Verdict {
-	mu.Lock()
-	defer mu.Unlock()
+// on the extractor's lock. The extracted view is exactly the functional
+// definition of the node's radius-t view, so fallback verdicts equal
+// lossless verdicts.
+func (f *fallbackExtractor) decide(j *job, v int) Verdict {
+	f.mu.Lock()
+	defer f.mu.Unlock()
 	if f.x == nil {
 		f.x = j.extractor()
 	}

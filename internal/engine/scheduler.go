@@ -1,12 +1,6 @@
 package engine
 
-import (
-	"runtime"
-	"sync"
-	"sync/atomic"
-
-	"repro/internal/graph"
-)
+import "repro/internal/graph"
 
 // Scheduler is an evaluation backend. All schedulers produce identical
 // per-node verdicts for contract-abiding deciders; they differ in cost model
@@ -16,9 +10,9 @@ import (
 type Scheduler interface {
 	// Name identifies the backend in stats and reports.
 	Name() string
-	// run evaluates the job, filling j.verdicts (when present) and j.stats,
-	// and reports global acceptance.
-	run(j *job) bool
+	// run evaluates the job, filling j.verdicts (when present), j.stats and
+	// the reject latch that job.outcome derives acceptance from.
+	run(j *job)
 }
 
 // Sequential evaluates nodes in index order on the calling goroutine.
@@ -58,11 +52,11 @@ const shardedMinNodes = 64
 const dedupMaxViewNodes = 64
 
 // cachedVerdict looks up / fills the dedup cache around a decide call. The
-// cache handles its own striped locking, so sequential and sharded workers
-// share this path; counters are worker-local and aggregated by the caller.
-func cachedVerdict(j *job, view *graph.View, v int, evaluated, hits, inserted *int) Verdict {
+// cache handles its own striped locking, so every worker shares this path;
+// counters are the worker's own.
+func (j *job) cachedVerdict(c *counters, view *graph.View, v int) Verdict {
 	if j.cache == nil || view.N() > dedupMaxViewNodes {
-		*evaluated++
+		c.evaluated++
 		return j.decideView(view, v)
 	}
 	// First level: the raw-structure key — one linear pass over the view's
@@ -71,7 +65,7 @@ func cachedVerdict(j *job, view *graph.View, v int, evaluated, hits, inserted *i
 	// common case never pays for a canonical code.
 	raw := view.RawCode()
 	if verdict, ok := j.cache.lookupRaw(j.dec.Name, j.dec.Horizon, raw); ok {
-		*hits++
+		c.hits++
 		return verdict
 	}
 	// Second level: the canonical code, catching views that repeat only up
@@ -82,70 +76,22 @@ func cachedVerdict(j *job, view *graph.View, v int, evaluated, hits, inserted *i
 	verdict, computed, stored := j.cache.lookupOrCompute(j.dec.Name, j.dec.Horizon, code,
 		func() Verdict { return j.decideView(view, v) })
 	if computed {
-		*evaluated++
+		c.evaluated++
 	} else {
-		*hits++
+		c.hits++
 	}
 	if stored {
-		*inserted++
+		c.inserted++
 	}
 	j.cache.storeRaw(j.dec.Name, j.dec.Horizon, raw, verdict)
 	return verdict
-}
-
-// finishCacheStats records the cache-side stats after a run.
-func (j *job) finishCacheStats(inserted int) {
-	if j.cache == nil {
-		return
-	}
-	j.stats.DistinctViews = inserted
-	j.stats.CacheSize = j.cache.Len()
-	j.stats.CacheShared = j.shared
 }
 
 type seqScheduler struct{}
 
 func (seqScheduler) Name() string { return "sequential" }
 
-func (seqScheduler) run(j *job) bool {
-	return j.runNodes(j.extractor())
-}
-
-// runNodes evaluates every node of the job in index order on the calling
-// goroutine through the given extractor (which must be bound to the job's
-// host), filling verdicts and all single-worker stats. It is the sequential
-// scheduler's whole body and the per-instance inner loop of EvalBatch, where
-// the extractor arrives Reset from the previous instance instead of freshly
-// allocated.
-func (j *job) runNodes(x *graph.ViewExtractor) bool {
-	accepted := true
-	inserted := 0
-	for v := 0; v < j.n; v++ {
-		if j.checkCanceled() {
-			break
-		}
-		verdict, ok := j.evalNode(x, v,
-			&j.stats.Evaluated, &j.stats.DedupHits, &inserted, &j.stats.Crashes, &j.stats.Retries)
-		if !ok {
-			// All attempts crashed: recorded in j.errs; neither an accept
-			// nor a reject, so it must not trigger early exit.
-			continue
-		}
-		if j.verdicts != nil {
-			j.verdicts[v] = verdict
-		}
-		if verdict == No {
-			accepted = false
-			if j.opts.EarlyExit {
-				break
-			}
-		}
-	}
-	j.stats.Workers = 1
-	j.finishCacheStats(inserted)
-	j.stats.EarlyExit = j.opts.EarlyExit && !accepted
-	return accepted
-}
+func (seqScheduler) run(j *job) { j.evalRange(1) }
 
 type shardedScheduler struct {
 	// workers caps the pool; 0 means GOMAXPROCS.
@@ -154,66 +100,21 @@ type shardedScheduler struct {
 
 func (shardedScheduler) Name() string { return "sharded" }
 
-func (s shardedScheduler) run(j *job) bool {
-	workers := s.workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > j.n {
-		workers = j.n
-	}
-	if workers <= 1 || j.n < shardedMinNodes {
-		return seqScheduler{}.run(j)
-	}
+func (s shardedScheduler) run(j *job) { j.evalRange(s.width(j.n)) }
 
-	var (
-		next     atomic.Int64
-		rejected atomic.Bool
-		mu       sync.Mutex // guards stats aggregation only; the cache stripes its own locks
-		wg       sync.WaitGroup
-		inserted int
-	)
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go func() {
-			defer wg.Done()
-			x := j.extractor()
-			evaluated, hits, ins, crashes, retries := 0, 0, 0, 0, 0
-			for {
-				v := int(next.Add(1)) - 1
-				if v >= j.n {
-					break
-				}
-				if j.opts.EarlyExit && rejected.Load() {
-					break
-				}
-				if j.checkCanceled() {
-					break
-				}
-				verdict, ok := j.evalNode(x, v, &evaluated, &hits, &ins, &crashes, &retries)
-				if !ok {
-					continue // recorded in j.errs; not a reject
-				}
-				if j.verdicts != nil {
-					j.verdicts[v] = verdict
-				}
-				if verdict == No {
-					rejected.Store(true)
-				}
-			}
-			mu.Lock()
-			j.stats.Evaluated += evaluated
-			j.stats.DedupHits += hits
-			j.stats.Crashes += crashes
-			j.stats.Retries += retries
-			inserted += ins
-			mu.Unlock()
-		}()
+// width is the pool width for a node range of the given size: inline below
+// shardedMinNodes, the capped pool otherwise.
+func (s shardedScheduler) width(nodes int) int {
+	if nodes < shardedMinNodes {
+		return 1
 	}
-	wg.Wait()
-	accepted := !rejected.Load()
-	j.stats.Workers = workers
-	j.finishCacheStats(inserted)
-	j.stats.EarlyExit = j.opts.EarlyExit && !accepted
-	return accepted
+	return poolWidth(s.workers, nodes)
+}
+
+// evalRange decides the job's whole node range on a pool of the given
+// width, one extractor per worker.
+func (j *job) evalRange(width int) {
+	j.stats.Workers = width
+	p := &pool{n: j.n, width: width}
+	p.run(func(int) { j.evalNodes(p, j.extractor()) })
 }

@@ -6,7 +6,6 @@ import (
 	"runtime"
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"repro/internal/graph"
 )
@@ -109,9 +108,9 @@ type haloLink struct {
 	ch       chan haloMsg
 }
 
-func (s shardedMPScheduler) run(j *job) bool {
+func (s shardedMPScheduler) run(j *job) {
 	if j.checkCanceled() {
-		return false
+		return
 	}
 	t := j.dec.Horizon
 	p := s.shards
@@ -199,22 +198,16 @@ func (s shardedMPScheduler) run(j *job) bool {
 	withIDs := j.in != nil
 
 	var (
-		rejected   atomic.Bool
-		statsMu    sync.Mutex
-		wg         sync.WaitGroup
-		inserted   int
-		fallbackMu sync.Mutex
-		fallbackX  fallbackExtractor
+		wg       sync.WaitGroup
+		fallback fallbackExtractor
 	)
-	roundBytes := make([]int, t)
-	roundGhosts := make([]int, t)
+	j.stats.RoundHaloBytes = make([]int, t)
+	j.stats.RoundGhostNodes = make([]int, t)
 	wg.Add(p)
 	for sh := 0; sh < p; sh++ {
 		go func(sh int) {
 			defer wg.Done()
-			sent, units, ghostsIn, bytesOut := 0, 0, 0, 0
-			localRoundBytes := make([]int, t)
-			localRoundGhosts := make([]int, t)
+			c := counters{roundBytes: make([]int, t), roundGhosts: make([]int, t)}
 
 			// Send loop: per round, encode and transmit this shard's due
 			// rings. Channels are buffered for every copy a link can carry,
@@ -232,12 +225,12 @@ func (s shardedMPScheduler) run(j *job) bool {
 							continue
 						}
 						payload := encodeHaloRing(j, encDicts[li], snd.ring, withIDs)
-						for c := 0; c < snd.copies; c++ {
+						for k := 0; k < snd.copies; k++ {
 							l.ch <- haloMsg{round: round, payload: payload}
-							sent++
-							units += len(snd.ring.nodes)
-							bytesOut += len(payload)
-							localRoundBytes[round] += len(payload)
+							c.messages++
+							c.units += len(snd.ring.nodes)
+							c.haloBytes += len(payload)
+							c.roundBytes[round] += len(payload)
 						}
 					}
 				}
@@ -264,8 +257,8 @@ func (s shardedMPScheduler) run(j *job) bool {
 					}
 					before := len(ghosts)
 					ghosts, dict = decodeHaloRing(payload, dict, withIDs, ghosts)
-					ghostsIn += len(ghosts) - before
-					localRoundGhosts[snd.ring.round] += len(ghosts) - before
+					c.ghosts += len(ghosts) - before
+					c.roundGhosts[snd.ring.round] += len(ghosts) - before
 				}
 			}
 
@@ -296,74 +289,41 @@ func (s shardedMPScheduler) run(j *job) bool {
 			// Decide owned nodes in ascending host order. Degraded shards
 			// route their rim nodes through the shared full-host fallback
 			// extractor; interior balls never leave the shard and stay local.
-			evaluated, hits, ins, crashes, retries, incomplete := 0, 0, 0, 0, 0, 0
 			rim := rims[sh]
 			for _, v32 := range own {
 				v := int(v32)
-				if j.opts.EarlyExit && rejected.Load() {
+				if j.stop() {
 					break
 				}
-				if j.checkCanceled() {
-					break
-				}
-				var verdict Verdict
-				var ok bool
+				var body func(v int) Verdict
 				if degraded[sh] && containsInt32(rim, v32) {
-					incomplete++
-					verdict, ok = j.guardedVerdict(v, &crashes, &retries, func() Verdict {
-						return fallbackX.decide(j, &fallbackMu, v)
-					})
+					c.incomplete++
+					body = func(v int) Verdict {
+						c.evaluated++
+						return fallback.decide(j, v)
+					}
 				} else {
 					li, found := lookupKnown(ext, v32)
 					if !found {
 						panic("engine: sharded-mp owned node missing from local host")
 					}
-					verdict, ok = j.guardedVerdict(v, &crashes, &retries, func() Verdict {
+					body = func(v int) Verdict {
 						view := x.At(li, t)
 						// Rebind Original from local-host indices to host
 						// addresses (in place — extractor scratch).
 						for i, w := range view.Original {
 							view.Original[i] = int(ext[w])
 						}
-						return cachedVerdict(j, view, v, &evaluated, &hits, &ins)
-					})
+						return j.cachedVerdict(&c, view, v)
+					}
 				}
-				if !ok {
-					continue // recorded in j.errs; not a reject
-				}
-				if j.verdicts != nil {
-					j.verdicts[v] = verdict
-				}
-				if verdict == No {
-					rejected.Store(true)
-				}
+				verdict, ok := j.guarded(&c, v, body)
+				j.commit(v, verdict, ok)
 			}
-
-			statsMu.Lock()
-			j.stats.Messages += sent
-			j.stats.KnowledgeUnits += units
-			j.stats.GhostNodes += ghostsIn
-			j.stats.HaloBytes += bytesOut
-			j.stats.Evaluated += evaluated
-			j.stats.DedupHits += hits
-			j.stats.Crashes += crashes
-			j.stats.Retries += retries
-			j.stats.IncompleteViews += incomplete
-			inserted += ins
-			for r := 0; r < t; r++ {
-				roundBytes[r] += localRoundBytes[r]
-				roundGhosts[r] += localRoundGhosts[r]
-			}
-			statsMu.Unlock()
+			j.merge(&c)
 		}(sh)
 	}
 	wg.Wait()
-	j.stats.RoundHaloBytes = roundBytes
-	j.stats.RoundGhostNodes = roundGhosts
-	accepted := !rejected.Load()
-	j.finishCacheStats(inserted)
-	j.stats.EarlyExit = j.opts.EarlyExit && !accepted
-	return accepted
 }
 
 // ghostRec is one imported halo node: its host address, label, optional

@@ -138,8 +138,9 @@ func TestShardedMPStats(t *testing.T) {
 }
 
 // TestShardedMPMessageFaultTally checks the deterministic fault counters
-// surface on the sharded path and that heavy drop degrades (IncompleteViews)
-// without changing verdicts.
+// surface on the sharded path, that heavy drop degrades (IncompleteViews)
+// without changing verdicts, and that degraded nodes still count as decider
+// invocations.
 func TestShardedMPMessageFaultTally(t *testing.T) {
 	l := graph.UniformlyLabeled(graph.Cycle(48), "u")
 	dec := shardedDecider()
@@ -154,6 +155,12 @@ func TestShardedMPMessageFaultTally(t *testing.T) {
 	}
 	if got.Stats.IncompleteViews == 0 {
 		t.Error("dropped rings degraded no rim nodes")
+	}
+	// Dedup is off, so every node is one decider invocation — the degraded
+	// rim nodes decided through the full-host fallback included.
+	if got.Stats.Evaluated != got.Stats.Nodes {
+		t.Errorf("Evaluated=%d, want Nodes=%d (IncompleteViews=%d)",
+			got.Stats.Evaluated, got.Stats.Nodes, got.Stats.IncompleteViews)
 	}
 	for v := range want.Verdicts {
 		if got.Verdicts[v] != want.Verdicts[v] {

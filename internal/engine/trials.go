@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"runtime"
 	"sync"
 	"sync/atomic"
 
@@ -289,13 +288,7 @@ func EvalTrials(dec TrialDecider, l *graph.Labeled, opts TrialOptions) (TrialSta
 	if minTrials <= 0 {
 		minTrials = defaultMinTrials
 	}
-	workers := opts.Workers
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	if workers > opts.Trials {
-		workers = opts.Trials
-	}
+	workers := poolWidth(opts.Workers, opts.Trials)
 
 	stats := TrialStats{Confidence: confidence, Workers: workers}
 
@@ -326,11 +319,14 @@ func EvalTrials(dec TrialDecider, l *graph.Labeled, opts TrialOptions) (TrialSta
 
 	n := l.N()
 	var (
-		next     atomic.Int64
-		stop     atomic.Bool
-		mu       sync.Mutex
-		done     = make([]bool, opts.Trials)
-		verdicts = make([]Verdict, opts.Trials)
+		p    = pool{n: opts.Trials, width: workers}
+		stop atomic.Bool
+		mu   sync.Mutex
+		// The in-order commit buffers grow with the trials claimed so far,
+		// never with opts.Trials: a sweep cut short by its deadline or by
+		// the stopping rule pays only for the trials it ran.
+		done     []bool
+		verdicts []Verdict
 
 		committed int
 		accepted  int
@@ -339,11 +335,16 @@ func EvalTrials(dec TrialDecider, l *graph.Labeled, opts TrialOptions) (TrialSta
 		sweepErr  error
 	)
 
-	// commit folds newly finished trials into the in-order prefix and
-	// evaluates the stopping rule at each new prefix point. Called with mu
-	// held.
-	commit := func() {
-		for committed < opts.Trials && done[committed] && !stopped {
+	// commit records finished trial t, then folds newly finished trials into
+	// the in-order prefix and evaluates the stopping rule at each new prefix
+	// point. Called with mu held.
+	commit := func(t int, verdict Verdict) {
+		if t >= len(done) {
+			done = append(done, make([]bool, t+1-len(done))...)
+			verdicts = append(verdicts, make([]Verdict, t+1-len(verdicts))...)
+		}
+		done[t], verdicts[t] = true, verdict
+		for committed < len(done) && done[committed] && !stopped {
 			if verdicts[committed] == Yes {
 				accepted++
 			}
@@ -384,36 +385,20 @@ func EvalTrials(dec TrialDecider, l *graph.Labeled, opts TrialOptions) (TrialSta
 		return verdict, nil
 	}
 
-	// canceled polls the sweep's context between trials (nil-fast).
-	var ctxDone <-chan struct{}
+	var poll cancelPoll
 	if opts.Ctx != nil {
-		ctxDone = opts.Ctx.Done()
-	}
-	canceled := func() bool {
-		if ctxDone == nil {
-			return false
-		}
-		select {
-		case <-ctxDone:
-			return true
-		default:
-			return false
-		}
+		poll.done = opts.Ctx.Done()
 	}
 
-	worker := func() {
+	p.run(func(int) {
 		var x *graph.ViewExtractor
-		if n > 0 && !dec.RandIgnoresView {
+		if !dec.RandIgnoresView {
 			x = graph.NewViewExtractor(l)
 		}
 		coins := rand.New(&coinSource{})
 		decided := 0
-		for {
-			t := int(next.Add(1)) - 1
-			if t >= opts.Trials || stop.Load() {
-				break
-			}
-			if canceled() {
+		for t, more := p.claim(); more && !stop.Load(); t, more = p.claim() {
+			if poll.checkCanceled() {
 				mu.Lock()
 				if sweepErr == nil {
 					sweepErr = fmt.Errorf("engine: trial sweep canceled: %w", opts.Ctx.Err())
@@ -434,28 +419,13 @@ func EvalTrials(dec TrialDecider, l *graph.Labeled, opts TrialOptions) (TrialSta
 				mu.Unlock()
 				break
 			}
-			done[t], verdicts[t] = true, verdict
-			commit()
+			commit(t, verdict)
 			mu.Unlock()
 		}
 		mu.Lock()
 		evaluated += decided
 		mu.Unlock()
-	}
-
-	if workers <= 1 {
-		worker()
-	} else {
-		var wg sync.WaitGroup
-		wg.Add(workers)
-		for w := 0; w < workers; w++ {
-			go func() {
-				defer wg.Done()
-				worker()
-			}()
-		}
-		wg.Wait()
-	}
+	})
 
 	stats.Trials = committed
 	stats.Accepted = accepted
