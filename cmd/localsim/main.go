@@ -539,9 +539,9 @@ func runFaulty(mode string, l *graph.Labeled, alg local.ObliviousAlgorithm, grap
 	fmt.Printf("engine: workers=%d evaluated=%d crashes=%d retries=%d\n",
 		s.Workers, s.Evaluated, s.Crashes, s.Retries)
 	if mode == "messages" {
-		fmt.Printf("mp: rounds=%d messages=%d dropped=%d duplicated=%d delayed=%d retransmits=%d incompleteViews=%d timedOutRounds=%d\n",
+		fmt.Printf("mp: rounds=%d messages=%d dropped=%d duplicated=%d delayed=%d retransmits=%d incompleteViews=%d\n",
 			s.Rounds, s.Messages, s.Dropped, s.Duplicated, s.Delayed, s.Retransmits,
-			s.IncompleteViews, s.TimedOutRounds)
+			s.IncompleteViews)
 	}
 	printShardedStats(s)
 	for _, ve := range out.Errs {

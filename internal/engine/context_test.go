@@ -41,12 +41,14 @@ func TestEvalContextPreCanceled(t *testing.T) {
 }
 
 // TestEvalDeadlineMidRun: a deadline expiring mid-evaluation stops the
-// remaining nodes promptly and surfaces context.DeadlineExceeded, on both
-// functional schedulers, without stranding worker goroutines.
+// remaining nodes promptly and surfaces context.DeadlineExceeded, on every
+// scheduler, without stranding worker goroutines. The message-passing
+// backends run their rounds to the end but skip every decide the deadline
+// overtakes.
 func TestEvalDeadlineMidRun(t *testing.T) {
 	testutil.VerifyNoLeaks(t)
 	l := graph.UniformlyLabeled(graph.Cycle(10000), "u")
-	for _, sched := range []Scheduler{Sequential, Sharded} {
+	for _, sched := range []Scheduler{Sequential, Sharded, MessagePassing, ShardedMP} {
 		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
 		start := time.Now()
 		out := EvalOblivious(slowDecider(100*time.Microsecond), l, Options{Scheduler: sched, Ctx: ctx})

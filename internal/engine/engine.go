@@ -211,13 +211,10 @@ type Stats struct {
 	Delayed     int
 	Retransmits int
 	// IncompleteViews counts nodes whose flooding gather was incomplete
-	// (dropped/delayed messages anywhere in their dependency cone, or a
-	// round timeout) and that therefore fell back to extractor-based view
-	// evaluation — degraded but never wrong.
+	// (dropped or delayed messages anywhere in their dependency cone) and
+	// that therefore fell back to extractor-based view evaluation —
+	// degraded but never wrong.
 	IncompleteViews int
-	// TimedOutRounds counts round-barrier timeouts observed by nodes
-	// (Options.RoundTimeout).
-	TimedOutRounds int
 	// Shards is the shard count of the ShardedMP backend (0 for every other
 	// scheduler).
 	Shards int
@@ -269,13 +266,14 @@ type Options struct {
 	// private cache; negative is a validation error. Ignored when
 	// Options.Cache is provided — bound a shared cache at construction.
 	CacheBytes int64
-	// Ctx, when set, bounds the evaluation: the sequential and sharded
-	// schedulers (and EvalBatch) poll it between nodes and stop once it is
-	// done, returning Outcome{Accepted: false, Err: wrapping ctx.Err()}.
-	// This is how a serving layer propagates per-request deadlines into the
-	// engine. The MessagePassing backend checks only at launch — its
-	// goroutine-per-node rounds are bounded with RoundTimeout instead. Nil
-	// means no deadline.
+	// Ctx, when set, bounds the evaluation: every scheduler (and EvalBatch)
+	// polls it before each node's decide and stops deciding once it is done,
+	// returning Outcome{Accepted: false, Err: wrapping ctx.Err()}. This is
+	// how a serving layer propagates per-request deadlines into the engine.
+	// The message-passing backends also check it at launch; their rounds,
+	// once started, run to the end, since they run no decider code and a
+	// node that stopped sending would strand its neighbours. Nil means no
+	// deadline.
 	Ctx context.Context
 	// EarlyExit lets the engine stop at the first No verdict. The Outcome
 	// then carries no per-node verdicts.
@@ -296,13 +294,6 @@ type Options struct {
 	// decide, doubling per further attempt. 0 means 100µs; negative
 	// disables backoff entirely (tests).
 	RetryBackoff time.Duration
-	// RoundTimeout bounds how long a MessagePassing node waits at each
-	// round barrier. 0 means wait forever (the lossless protocol cannot
-	// deadlock — every node reaches every barrier). A node that times out
-	// stops synchronising, declares its view incomplete and falls back to
-	// extractor-based evaluation: degradation, not a hang and not a wrong
-	// verdict.
-	RoundTimeout time.Duration
 }
 
 // Eval evaluates a decider on every node of an identifier-carrying instance.

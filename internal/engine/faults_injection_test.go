@@ -9,7 +9,6 @@ import (
 	"reflect"
 	"sync/atomic"
 	"testing"
-	"time"
 
 	"repro/internal/engine"
 	"repro/internal/fault"
@@ -44,6 +43,10 @@ func labelSumDecider() engine.Decider {
 
 func testInstance(n int) *graph.Labeled {
 	return graph.RandomLabels(graph.Cycle(n), []graph.Label{"a", "bb", "ccc"}, 9)
+}
+
+func gridInstance() *graph.Labeled {
+	return graph.RandomLabels(graph.Grid(6, 6), []graph.Label{"a", "bb", "ccc"}, 9)
 }
 
 // Worker crashes must never lose or duplicate a node's verdict: whatever the
@@ -206,19 +209,16 @@ func TestGenuinePanicRespawn(t *testing.T) {
 	}
 }
 
-// The message-fault matrix: drop, duplicate and delay at several rates, with
-// and without a round timeout. Degradation must never change a verdict —
-// incomplete views fall back to extractor evaluation, so the committed
-// verdicts always equal the fault-free run — and the fault trace must replay
-// identically from the seed.
+// The message-fault matrix: drop, duplicate and delay at several rates, at
+// horizons 2 and 3, on a cycle and on a 6×6 grid (where interior nodes wait
+// on four links). Degradation must never change a verdict — incomplete
+// views fall back to extractor evaluation, so the committed verdicts always
+// equal the fault-free run — and the fault trace must replay identically
+// from the seed. The fallback keeps verdicts right whichever round a copy
+// lands in, so the table also pins each model's counters: a delayed copy
+// absorbed in the wrong round changes what its receiver forwards, and with
+// it KnowledgeUnits.
 func TestMessageFaultMatrixNeverWrong(t *testing.T) {
-	l := testInstance(24)
-	dec := labelSumDecider()
-	clean := engine.EvalOblivious(dec, l, engine.Options{})
-	if clean.Err != nil {
-		t.Fatal(clean.Err)
-	}
-
 	matrix := []fault.MessageModel{
 		{DropRate: 0.1, RetransmitBudget: 1},
 		{DropRate: 0.4, RetransmitBudget: 1},
@@ -226,61 +226,100 @@ func TestMessageFaultMatrixNeverWrong(t *testing.T) {
 		{DuplicateRate: 0.3},
 		{DelayRate: 0.3, MaxDelay: 2},
 		{DropRate: 0.2, DuplicateRate: 0.2, DelayRate: 0.2, RetransmitBudget: 2},
+		{}, // an injector that rules every copy on time: a clean run
 	}
-	for i, m := range matrix {
-		m := m
-		plan := &fault.Plan{Seed: int64(100 + i), Message: &m}
-		opts := engine.Options{Scheduler: engine.MessagePassing, Faults: plan}
-		out := engine.EvalOblivious(dec, l, opts)
-		if out.Err != nil {
-			t.Fatalf("model %d: message faults must degrade, not fail: %v", i, out.Err)
+	// counts are Messages, KnowledgeUnits, Dropped, Duplicated, Delayed,
+	// Retransmits and IncompleteViews, one row per matrix model.
+	type counts [7]int
+	hosts := []struct {
+		name    string
+		l       *graph.Labeled
+		horizon int
+		want    []counts
+	}{
+		{"cycle24", testInstance(24), 2, []counts{
+			{96, 192, 0, 0, 0, 7, 0},
+			{75, 135, 21, 0, 0, 39, 24},
+			{61, 102, 35, 0, 0, 0, 24},
+			{134, 266, 0, 38, 0, 0, 0},
+			{96, 162, 0, 0, 31, 0, 22},
+			{123, 228, 2, 29, 16, 21, 20},
+			{96, 192, 0, 0, 0, 0, 0},
+		}},
+		{"cycle24", testInstance(24), 3, []counts{
+			{143, 427, 1, 0, 0, 13, 1},
+			{115, 301, 29, 0, 0, 55, 24},
+			{88, 203, 56, 0, 0, 0, 24},
+			{201, 601, 0, 57, 0, 0, 0},
+			{144, 342, 0, 0, 47, 0, 24},
+			{186, 496, 2, 44, 24, 40, 24},
+			{144, 432, 0, 0, 0, 0, 0},
+		}},
+		{"grid6x6", gridInstance(), 2, []counts{
+			{236, 637, 4, 0, 0, 26, 12},
+			{191, 448, 49, 0, 0, 103, 36},
+			{143, 291, 97, 0, 0, 0, 36},
+			{353, 975, 0, 113, 0, 0, 0},
+			{240, 520, 0, 0, 81, 0, 35},
+			{302, 716, 3, 65, 46, 50, 34},
+			{240, 656, 0, 0, 0, 0, 0},
+		}},
+		{"grid6x6", gridInstance(), 3, []counts{
+			{352, 1801, 8, 0, 0, 42, 24},
+			{286, 1260, 74, 0, 0, 154, 36},
+			{214, 768, 146, 0, 0, 0, 36},
+			{522, 2668, 0, 162, 0, 0, 0},
+			{360, 1434, 0, 0, 116, 0, 36},
+			{460, 2098, 3, 103, 68, 84, 36},
+			{360, 1880, 0, 0, 0, 0, 0},
+		}},
+	}
+	for _, h := range hosts {
+		dec := labelSumDecider()
+		dec.Horizon = h.horizon
+		clean := engine.EvalOblivious(dec, h.l, engine.Options{})
+		if clean.Err != nil {
+			t.Fatal(clean.Err)
 		}
-		if !reflect.DeepEqual(out.Verdicts, clean.Verdicts) || out.Accepted != clean.Accepted {
-			t.Errorf("model %d (%+v): faulty MP verdicts diverged from fault-free", i, m)
-		}
-		if m.DropRate >= 0.4 && out.Stats.Dropped == 0 {
-			t.Errorf("model %d: dropRate %.1f recorded no drops", i, m.DropRate)
-		}
-		if m.DuplicateRate > 0 && out.Stats.Duplicated == 0 {
-			t.Errorf("model %d: duplicateRate %.1f recorded no duplicates", i, m.DuplicateRate)
-		}
-		if m.DelayRate > 0 && out.Stats.Delayed == 0 {
-			t.Errorf("model %d: delayRate %.1f recorded no delays", i, m.DelayRate)
-		}
-		if out.Stats.Dropped > 0 && out.Stats.IncompleteViews == 0 {
-			t.Errorf("model %d: lost messages recorded no incomplete views", i)
-		}
+		for i, m := range matrix {
+			m := m
+			name := fmt.Sprintf("%s t=%d model %d", h.name, h.horizon, i)
+			plan := &fault.Plan{Seed: int64(100 + i), Message: &m}
+			opts := engine.Options{Scheduler: engine.MessagePassing, Faults: plan}
+			out := engine.EvalOblivious(dec, h.l, opts)
+			if out.Err != nil {
+				t.Fatalf("%s: message faults must degrade, not fail: %v", name, out.Err)
+			}
+			if !reflect.DeepEqual(out.Verdicts, clean.Verdicts) || out.Accepted != clean.Accepted {
+				t.Errorf("%s (%+v): faulty MP verdicts diverged from fault-free", name, m)
+			}
+			if m.DropRate >= 0.4 && out.Stats.Dropped == 0 {
+				t.Errorf("%s: dropRate %.1f recorded no drops", name, m.DropRate)
+			}
+			if m.DuplicateRate > 0 && out.Stats.Duplicated == 0 {
+				t.Errorf("%s: duplicateRate %.1f recorded no duplicates", name, m.DuplicateRate)
+			}
+			if m.DelayRate > 0 && out.Stats.Delayed == 0 {
+				t.Errorf("%s: delayRate %.1f recorded no delays", name, m.DelayRate)
+			}
+			if out.Stats.Dropped > 0 && out.Stats.IncompleteViews == 0 {
+				t.Errorf("%s: lost messages recorded no incomplete views", name)
+			}
+			s := out.Stats
+			got := counts{s.Messages, s.KnowledgeUnits, s.Dropped, s.Duplicated, s.Delayed, s.Retransmits, s.IncompleteViews}
+			if got != h.want[i] {
+				t.Errorf("%s: counters %v, want %v", name, got, h.want[i])
+			}
 
-		// Replay: the identical options replay the identical fault trace.
-		again := engine.EvalOblivious(dec, l, opts)
-		if !reflect.DeepEqual(again.Stats, out.Stats) {
-			t.Errorf("model %d: same seed, different stats:\n%+v\n%+v", i, again.Stats, out.Stats)
+			// Replay: the identical options replay the identical fault trace.
+			again := engine.EvalOblivious(dec, h.l, opts)
+			if !reflect.DeepEqual(again.Stats, out.Stats) {
+				t.Errorf("%s: same seed, different stats:\n%+v\n%+v", name, again.Stats, out.Stats)
+			}
+			if !reflect.DeepEqual(again.Verdicts, out.Verdicts) {
+				t.Errorf("%s: same seed, different verdicts", name)
+			}
 		}
-		if !reflect.DeepEqual(again.Verdicts, out.Verdicts) {
-			t.Errorf("model %d: same seed, different verdicts", i)
-		}
-	}
-}
-
-// A round timeout with no faults takes the hardened MP path but must behave
-// exactly like the lossless protocol: nothing times out, nothing degrades.
-func TestRoundTimeoutCleanPath(t *testing.T) {
-	l := testInstance(20)
-	dec := labelSumDecider()
-	clean := engine.EvalOblivious(dec, l, engine.Options{Scheduler: engine.MessagePassing})
-	out := engine.EvalOblivious(dec, l, engine.Options{
-		Scheduler:    engine.MessagePassing,
-		RoundTimeout: 5 * time.Second,
-	})
-	if out.Err != nil {
-		t.Fatal(out.Err)
-	}
-	if !reflect.DeepEqual(out.Verdicts, clean.Verdicts) {
-		t.Error("timeout-armed clean run diverged from lossless MP")
-	}
-	if out.Stats.IncompleteViews != 0 || out.Stats.TimedOutRounds != 0 ||
-		out.Stats.Dropped != 0 || out.Stats.Duplicated != 0 || out.Stats.Delayed != 0 {
-		t.Errorf("clean run recorded fault activity: %+v", out.Stats)
 	}
 }
 

@@ -11,7 +11,7 @@ import (
 
 // This file is the engine's one evaluation kernel. The sequential and
 // sharded schedulers, EvalBatch, Incremental repairs and the decide stage of
-// the three message-passing runtimes are built from the same four parts:
+// the two message-passing runtimes are built from the same four parts:
 //
 //   - counters: each worker tallies into its own counters and merges them
 //     into Stats once, when it finishes;
@@ -32,8 +32,8 @@ import (
 type counters struct {
 	evaluated, hits, inserted, crashes, retries int
 	// Message-passing runtimes only.
-	messages, units, timedOut, incomplete, ghosts, haloBytes int
-	roundBytes, roundGhosts                                  []int
+	messages, units, incomplete, ghosts, haloBytes int
+	roundBytes, roundGhosts                        []int
 }
 
 // merge folds one worker's counters into the job's Stats.
@@ -47,7 +47,6 @@ func (j *job) merge(c *counters) {
 	s.Retries += c.retries
 	s.Messages += c.messages
 	s.KnowledgeUnits += c.units
-	s.TimedOutRounds += c.timedOut
 	s.IncompleteViews += c.incomplete
 	s.GhostNodes += c.ghosts
 	s.HaloBytes += c.haloBytes
@@ -197,14 +196,9 @@ func (j *job) commit(v int, verdict Verdict, ok bool) {
 	}
 }
 
-// exited reports that an early-exit evaluation has seen a No, so no further
-// decide can change its outcome.
-func (j *job) exited() bool {
-	return j.opts.EarlyExit && j.rejected.Load()
-}
-
-// stop reports whether a worker should claim no further nodes: the
-// evaluation has exited early or its context is done.
+// stop reports whether a worker should decide no further nodes: an
+// early-exit evaluation has seen a No, so no further decide can change its
+// outcome, or the evaluation's context is done.
 func (j *job) stop() bool {
-	return j.exited() || j.checkCanceled()
+	return j.opts.EarlyExit && j.rejected.Load() || j.checkCanceled()
 }

@@ -7,14 +7,37 @@ import (
 )
 
 // This file is the operational backend of the engine: one goroutine per
-// node, communicating over per-edge channels in synchronous rounds. After t
-// rounds of full-information flooding each node has gathered (a superset of)
-// its radius-t neighbourhood; the backend then restricts the gathered
-// knowledge to the induced ball B(v, t) so the decider receives exactly the
-// view (G, x, Id) |> B(v, t) of the functional definition. The parity suite
-// pins this backend against the functional ones node for node (experiment
-// E13 reports the cost gap). It descends from internal/local's original
-// runtime, which now delegates here.
+// node, flooding full-information snapshots for t synchronous rounds. After
+// t rounds each node has gathered (a superset of) its radius-t
+// neighbourhood; the backend then restricts the gathered knowledge to the
+// induced ball B(v, t) so the decider receives exactly the view
+// (G, x, Id) |> B(v, t) of the functional definition. The parity suite pins
+// this backend against the functional ones node for node (experiment E13
+// reports the cost gap).
+//
+// Rounds are per link, as in Awerbuch's α-synchronizer (J. ACM 32(4),
+// 1985), not behind a global barrier: every directed edge carries exactly
+// one envelope per round, and a node enters round r+1 once it holds each
+// neighbour's round-r envelope. A sender is therefore at most one round
+// ahead of any receiver, so a channel buffered for one envelope per link
+// cannot deadlock.
+//
+// Message faults ride in the same envelopes. An Injector rules on every
+// (round, directed edge) send — lost after a bounded retransmit budget,
+// duplicated, or delayed by d rounds — and the sender packs each envelope
+// with the copies its receiver absorbs that round: its on-time snapshot,
+// plus any duplicated or delayed copies now due. An envelope whose copies
+// were lost travels empty; the receiver absorbs what arrives and never
+// consults the injector. A lossless run is the empty fate plan: every copy
+// on time, nothing parked, every node clean.
+//
+// The degradation ladder keeps verdicts right under every fault mix. The
+// fate plan, computed before the protocol starts, calls a node clean when no
+// copy in its radius-t dependency cone was lost or late: a clean node has
+// gathered exactly its induced ball and decides the assembled view. Any
+// other node declares its view incomplete and decides the functional view
+// from a shared extractor instead, so message faults cost time, never
+// verdicts.
 //
 // Knowledge is held in flat sorted-row form (the same CSR discipline as the
 // extractor arena), not per-node maps: a node's picture of the network is a
@@ -152,9 +175,7 @@ var mpAssemblers = sync.Pool{
 // subgraph is built by filtering each known node's full host row to the
 // known set — a monotone dense renumbering, so BFS discovery order (and with
 // it the exact view layout) is preserved — and the ball restriction is the
-// extractor's, rebound to the known subgraph. Both faulty and lossless
-// message-passing paths, and the sharded runtime's halo assembly, share this
-// one routine.
+// extractor's, rebound to the known subgraph.
 func assembleView(x *graph.ViewExtractor, know *knowledge, centre, t int, oblivious bool) *graph.View {
 	k := len(know.nodes)
 	offsets := make([]int32, k+1)
@@ -200,21 +221,7 @@ func (j *job) decideGathered(know *knowledge, v int) Verdict {
 	return verdict
 }
 
-// decideFlooded is the flooding runtimes' decide step for node v, run after
-// the protocol: the guarded decide plus commit, skipped once an early-exit
-// evaluation has seen a No (the protocol itself must run to completion —
-// neighbours depend on this node's sends). Evaluated counts the node once,
-// however many attempts it took.
-func (j *job) decideFlooded(c *counters, v int, body func(v int) Verdict) {
-	if j.exited() {
-		return
-	}
-	verdict, ok := j.guarded(c, v, body)
-	c.evaluated++
-	j.commit(v, verdict, ok)
-}
-
-// hiddenID is node v's routing identifier in the flooding runtimes: the
+// hiddenID is node v's routing identifier in the flooding runtime: the
 // instance's real identifier when the evaluation carries them, a throwaway
 // node index otherwise (stripped from the assembled views before the
 // decider sees them).
@@ -225,72 +232,239 @@ func (j *job) hiddenID(v int) int {
 	return j.in.IDs[v]
 }
 
+// maxMessageDuplicates clamps an injector's per-message duplicate count, so
+// one send fans out to a bounded number of copies (ShardedMP buffers every
+// copy a halo link carries).
+const maxMessageDuplicates = 3
+
+// messageFate resolves one directed message's fate, normalised: no injector
+// means delivered-on-time, and duplicate counts arrive pre-clamped.
+func (j *job) messageFate(round, from, to int) MessageFate {
+	if j.faults == nil {
+		return MessageFate{Delivered: true, Attempts: 1}
+	}
+	fate := j.faults.MessageFate(round, from, to)
+	if fate.Duplicates > maxMessageDuplicates {
+		fate.Duplicates = maxMessageDuplicates
+	}
+	if fate.Duplicates < 0 {
+		fate.Duplicates = 0
+	}
+	if fate.Delay < 0 {
+		fate.Delay = 0
+	}
+	return fate
+}
+
+// mpFatePlan is a flooding run's fate table: which nodes end the protocol
+// clean, and the deterministic fault tally. Without an injector it is empty:
+// every node clean, every tally zero.
+type mpFatePlan struct {
+	clean []bool // clean[v]: every copy in v's dependency cone was on time
+
+	dropped, duplicated, delayed, retransmits int
+}
+
+// planFates walks every (round, directed edge) site once, before the
+// protocol starts: it accumulates the fault tally and computes the
+// transitive cleanliness recursion
+//
+//	clean_0(v) = true
+//	clean_{r+1}(v) = clean_r(v) ∧ ∀(u,v)∈E: onTime_r(u→v) ∧ clean_r(u)
+//
+// — exactly "v's radius-(r+1) gather is the true ball". The injector being a
+// pure function, the senders re-consulting the same sites later see the
+// same fates.
+func (j *job) planFates(t int) *mpFatePlan {
+	n := j.n
+	p := &mpFatePlan{clean: make([]bool, n)}
+	for v := range p.clean {
+		p.clean[v] = true
+	}
+	if j.faults == nil {
+		return p
+	}
+	next := make([]bool, n)
+	for r := 0; r < t; r++ {
+		copy(next, p.clean)
+		for u := 0; u < n; u++ {
+			for _, w := range j.l.G.Neighbors(u) {
+				fate := j.messageFate(r, u, int(w))
+				if fate.Attempts > 1 {
+					p.retransmits += fate.Attempts - 1
+				}
+				if !fate.Delivered {
+					p.dropped++
+				} else if fate.Delay > 0 {
+					p.delayed++
+				}
+				p.duplicated += fate.Duplicates
+				if !fate.Delivered || fate.Delay > 0 || !p.clean[u] {
+					next[w] = false
+				}
+			}
+		}
+		p.clean, next = next, p.clean
+	}
+	return p
+}
+
+// envelope is one link's delivery for one round: every snapshot copy its
+// receiver absorbs that round. On a lossless run it is the sender's on-time
+// snapshot alone, and allocates nothing.
+type envelope struct {
+	now  *knowledge   // the sender's on-time snapshot; nil if lost or delayed
+	more []*knowledge // duplicates and delayed copies due this round
+}
+
+// parcel is a copy its sender holds back until the round it is due.
+type parcel struct {
+	link int // the receiver's position in the sender's row
+	due  int // the round whose envelope carries the copy
+	know *knowledge
+}
+
+// floodLinks wires one envelope channel per directed edge, indexed by the
+// edge's CSR slot: slot base[v]+i carries v's envelopes to its i-th
+// neighbour. rev[s] is the slot of the opposite direction, so v reads its
+// i-th neighbour's envelopes from chans[rev[base[v]+i]]. Rows are sorted
+// and visited in ascending order, so one cursor per row finds every reverse
+// slot in a single sweep.
+func floodLinks(g *graph.Graph) (base []int, chans []chan envelope, rev []int) {
+	n := g.N()
+	base = make([]int, n+1)
+	for v := 0; v < n; v++ {
+		base[v+1] = base[v] + g.Degree(v)
+	}
+	chans = make([]chan envelope, base[n])
+	rev = make([]int, base[n])
+	cursor := append([]int(nil), base[:n]...)
+	for v := 0; v < n; v++ {
+		for i, u := range g.Neighbors(v) {
+			s := base[v] + i
+			chans[s] = make(chan envelope, 1)
+			rev[s] = cursor[u]
+			cursor[u]++
+		}
+	}
+	return base, chans, rev
+}
+
 type mpScheduler struct{}
 
 func (mpScheduler) Name() string { return "message-passing" }
 
+// run floods for t rounds, one goroutine per node; see the file comment for
+// the protocol and the degradation ladder.
 func (mpScheduler) run(j *job) {
 	// The flooding runtime assembles every view operationally and never
 	// deduplicates (see Options.Dedup).
 	j.cache = nil
-	// Cancellation is honoured at launch only: mid-protocol the per-node
-	// goroutines are interlocked through round barriers (a node that stops
-	// sending deadlocks its neighbours), so bounded rounds come from
-	// Options.RoundTimeout, not Ctx. See Options.Ctx.
 	if j.checkCanceled() {
 		return
 	}
-	j.stats.Rounds = j.dec.Horizon
-	j.stats.Workers = j.n
-	// Fault injection or a round timeout switches to the hardened runtime
-	// (mpfaulty.go); the lossless path below stays byte-identical to the
-	// seed-era protocol apart from the guarded decide stage.
-	if j.faults != nil || j.opts.RoundTimeout > 0 {
-		runMPFaulty(j)
-		return
-	}
-	runMPLossless(j)
-}
+	n, t := j.n, j.dec.Horizon
+	j.stats.Rounds = t
+	j.stats.Workers = n
+	plan := j.planFates(t)
+	j.stats.Dropped = plan.dropped
+	j.stats.Duplicated = plan.duplicated
+	j.stats.Delayed = plan.delayed
+	j.stats.Retransmits = plan.retransmits
+	base, chans, rev := floodLinks(j.l.G)
 
-func runMPLossless(j *job) {
-	n := j.n
-	t := j.dec.Horizon
-
-	// Per-directed-edge channels, buffered for one message: within a round
-	// every node first sends to all neighbours, then receives, so a buffer
-	// of one message per edge keeps rounds deadlock-free.
-	type edgeKey struct{ from, to int }
-	chans := make(map[edgeKey]chan *knowledge, 2*j.l.G.M())
-	for u := 0; u < n; u++ {
-		for _, v := range j.l.G.Neighbors(u) {
-			chans[edgeKey{from: u, to: int(v)}] = make(chan *knowledge, 1)
-		}
-	}
-
-	var wg sync.WaitGroup
+	var (
+		wg       sync.WaitGroup
+		fallback fallbackExtractor
+	)
 	wg.Add(n)
 	for v := 0; v < n; v++ {
 		go func(v int) {
 			defer wg.Done()
 			var c counters
 			buf := newNodeKnowledge(j, v, j.hiddenID(v))
+			row := j.l.G.Neighbors(v)
+			var parked []parcel
 			for round := 0; round < t; round++ {
-				// Send a snapshot to every neighbour, then receive from every
-				// neighbour. The per-edge one-slot buffers make each round a
-				// synchronisation barrier with the local neighbourhood.
-				snapshot := buf.snapshot()
-				for _, u := range j.l.G.Neighbors(v) {
-					chans[edgeKey{from: v, to: int(u)}] <- snapshot
-					c.messages++
-					c.units += snapshot.size()
+				snap := buf.snapshot()
+				for i, u := range row {
+					var env envelope
+					// Every copy the fate lets through counts as sent, even
+					// one due at or after round t, which no envelope carries.
+					if fate := j.messageFate(round, v, int(u)); fate.Delivered {
+						copies := 1 + fate.Duplicates
+						c.messages += copies
+						c.units += copies * snap.size()
+						due := round + fate.Delay
+						if due == round {
+							env.now = snap
+							copies--
+						}
+						for ; copies > 0 && due < t; copies-- {
+							parked = append(parked, parcel{link: i, due: due, know: snap})
+						}
+					}
+					// Hand over the held-back copies due on this link now.
+					for k := 0; k < len(parked); {
+						if p := parked[k]; p.link == i && p.due == round {
+							env.more = append(env.more, p.know)
+							parked[k] = parked[len(parked)-1]
+							parked = parked[:len(parked)-1]
+						} else {
+							k++
+						}
+					}
+					chans[base[v]+i] <- env
 				}
-				for _, u := range j.l.G.Neighbors(v) {
-					buf.absorb(<-chans[edgeKey{from: int(u), to: v}])
+				for i := range row {
+					env := <-chans[rev[base[v]+i]]
+					if env.now != nil {
+						buf.absorb(env.now)
+					}
+					for _, k := range env.more {
+						buf.absorb(k)
+					}
 				}
 			}
-			j.decideFlooded(&c, v, func(v int) Verdict { return j.decideGathered(buf.cur, v) })
+
+			decide := func(v int) Verdict { return j.decideGathered(buf.cur, v) }
+			if !plan.clean[v] {
+				c.incomplete++
+				decide = func(v int) Verdict { return fallback.decide(j, v) }
+			}
+			// Neighbours depended on every send above, so the protocol ran
+			// to completion; the decide is skipped once the evaluation has
+			// stopped. Evaluated counts the node once, however many attempts
+			// it took.
+			if !j.stop() {
+				verdict, ok := j.guarded(&c, v, decide)
+				c.evaluated++
+				j.commit(v, verdict, ok)
+			}
 			j.merge(&c)
 		}(v)
 	}
 	wg.Wait()
+}
+
+// fallbackExtractor is the shared extractor serving incomplete nodes, built
+// on first use: one per run, mutex-guarded because extractor views are
+// scratch-backed and the decide must finish before the next extraction.
+type fallbackExtractor struct {
+	mu sync.Mutex
+	x  *graph.ViewExtractor
+}
+
+// decide extracts node v's true functional view and decides it, serialised
+// on the extractor's lock. The extracted view is exactly the functional
+// definition of the node's radius-t view, so fallback verdicts equal
+// lossless verdicts.
+func (f *fallbackExtractor) decide(j *job, v int) Verdict {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if f.x == nil {
+		f.x = j.extractor()
+	}
+	view := f.x.At(v, j.dec.Horizon)
+	return j.decideView(view, v)
 }

@@ -3,9 +3,12 @@
 // views, in both the ID-using and the Id-oblivious variants. Evaluation
 // itself — batched view extraction, scheduling, deduplication, aggregation —
 // lives in internal/engine; this package defines the algorithm interfaces of
-// the paper's model and adapts them onto the engine. The historical entry
-// points (Run, RunOblivious, RunParallel, RunMessagePassing, ...) remain as
-// thin wrappers selecting an engine scheduler.
+// the paper's model and adapts them onto the engine. The entry points Run,
+// RunOblivious, RunRandomized, RunParallel, RunObliviousParallel and
+// RunMessagePassingOblivious are thin wrappers selecting an engine
+// scheduler; EngineDecider and its siblings adapt an algorithm for calling
+// the engine directly (an ID-using algorithm reaches the message-passing
+// runtime that way).
 package local
 
 import (

@@ -6,55 +6,16 @@ import (
 )
 
 // The operational side of the LOCAL model — one goroutine per node,
-// communicating over per-edge channels in synchronous rounds — lives in the
-// engine as its MessagePassing backend (it was born in this file and moved
-// there when all runners were unified). These wrappers preserve the
-// historical entry points and the cost accounting. Tests verify that the
-// operational and functional evaluation paths agree node for node
-// (experiment E13).
-
-// RuntimeStats reports the operational cost of a message-passing run: the
-// LOCAL model's "free" full-information flooding is anything but free, which
-// is what the ablation experiment quantifies.
-type RuntimeStats struct {
-	Rounds int
-	// Messages counts point-to-point sends (one per directed edge per round).
-	Messages int
-	// KnowledgeUnits sums the sizes (nodes known) of all sent snapshots, a
-	// proxy for bandwidth in the full-information protocol.
-	KnowledgeUnits int
-}
-
-// RunMessagePassing evaluates an ID-using algorithm by actually running the
-// synchronous message-passing protocol with one goroutine per node. The
-// result is identical to Run; the value of this path is that it demonstrates
-// (and tests) the equivalence of the functional and operational definitions
-// of a local algorithm, and serves as the model-ablation benchmark.
-func RunMessagePassing(alg Algorithm, in *graph.Instance) Outcome {
-	out, _ := RunMessagePassingStats(alg, in)
-	return out
-}
-
-// RunMessagePassingStats is RunMessagePassing with cost accounting.
-func RunMessagePassingStats(alg Algorithm, in *graph.Instance) (Outcome, RuntimeStats) {
-	out := engine.Eval(EngineDecider(alg), in, engine.Options{Scheduler: engine.MessagePassing})
-	stats := RuntimeStats{
-		Rounds:         alg.Horizon(),
-		Messages:       out.Stats.Messages,
-		KnowledgeUnits: out.Stats.KnowledgeUnits,
-	}
-	return out, stats
-}
+// flooding snapshots over per-edge channels in synchronous rounds — lives in
+// the engine as its MessagePassing backend (it was born in this file and
+// moved there when all runners were unified); ID-using algorithms reach it
+// through engine.Eval with EngineDecider. Tests verify that the operational
+// and functional evaluation paths agree node for node (experiment E13).
 
 // RunMessagePassingOblivious is the Id-oblivious operational runtime: the
-// protocol runs exactly as RunMessagePassing (with throwaway internal
-// addresses for routing) but the assembled views are stripped of identifiers
-// before the algorithm sees them.
+// protocol routes on throwaway internal addresses, and the assembled views
+// are stripped of identifiers before the algorithm sees them.
 func RunMessagePassingOblivious(alg ObliviousAlgorithm, l *graph.Labeled) Outcome {
 	return engine.EvalOblivious(EngineObliviousDecider(alg), l,
 		engine.Options{Scheduler: engine.MessagePassing})
 }
-
-// Rounds reports the number of synchronous rounds the operational runtime
-// uses for an algorithm (equal to its horizon; exposed for reporting).
-func Rounds(alg Algorithm) int { return alg.Horizon() }

@@ -11,6 +11,12 @@ import (
 	"repro/internal/ids"
 )
 
+// runMP evaluates an ID-using algorithm on the engine's message-passing
+// backend.
+func runMP(alg Algorithm, in *graph.Instance) Outcome {
+	return engine.Eval(EngineDecider(alg), in, engine.Options{Scheduler: engine.MessagePassing})
+}
+
 // viewCodeAlgorithm outputs Yes iff the full ID-aware view code satisfies a
 // fixed predicate; its purpose is to make the verdict depend on every part of
 // the view (structure, labels, and IDs) so that any discrepancy between the
@@ -42,7 +48,7 @@ func TestMessagePassingMatchesViewEvaluation(t *testing.T) {
 			in := graph.NewInstance(l, ids.RandomBounded(g.N(), ids.Quadratic(), 13))
 			alg := viewCodeAlgorithm(horizon)
 			direct := Run(alg, in)
-			mp := RunMessagePassing(alg, in)
+			mp := runMP(alg, in)
 			for v := range direct.Verdicts {
 				if direct.Verdicts[v] != mp.Verdicts[v] {
 					t.Fatalf("%s t=%d node %d: view=%s, message-passing=%s",
@@ -69,7 +75,7 @@ func TestMessagePassingViewsExact(t *testing.T) {
 		}
 		return Yes
 	})
-	RunMessagePassing(probe, in)
+	runMP(probe, in)
 	if mismatch != nil {
 		t.Fatal(mismatch)
 	}
@@ -108,7 +114,7 @@ func TestRuntimeEquivalence_Quick(t *testing.T) {
 		in := graph.NewInstance(l, ids.RandomBounded(n, ids.Linear(4), seed+2))
 		alg := viewCodeAlgorithm(horizon)
 		a := Run(alg, in)
-		b := RunMessagePassing(alg, in)
+		b := runMP(alg, in)
 		for v := range a.Verdicts {
 			if a.Verdicts[v] != b.Verdicts[v] {
 				return false
@@ -118,12 +124,6 @@ func TestRuntimeEquivalence_Quick(t *testing.T) {
 	}
 	if err := quick.Check(property, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
-	}
-}
-
-func TestRounds(t *testing.T) {
-	if Rounds(viewCodeAlgorithm(3)) != 3 {
-		t.Error("Rounds should report the horizon")
 	}
 }
 
@@ -142,7 +142,7 @@ func TestRunMessagePassingStats(t *testing.T) {
 	g := graph.Cycle(6)
 	l := graph.UniformlyLabeled(g, "c")
 	in := graph.NewInstance(l, ids.Sequential(6))
-	_, stats := RunMessagePassingStats(alg, in)
+	stats := runMP(alg, in).Stats
 	if stats.Rounds != 2 {
 		t.Errorf("rounds = %d, want 2", stats.Rounds)
 	}
@@ -157,7 +157,7 @@ func TestRunMessagePassingStats(t *testing.T) {
 	}
 	// Horizon 0: no communication at all.
 	zero := viewCodeAlgorithm(0)
-	_, stats = RunMessagePassingStats(zero, in)
+	stats = runMP(zero, in).Stats
 	if stats.Messages != 0 || stats.KnowledgeUnits != 0 {
 		t.Errorf("horizon-0 stats = %+v, want zero traffic", stats)
 	}
