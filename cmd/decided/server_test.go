@@ -189,6 +189,53 @@ func TestEvalDeadline(t *testing.T) {
 	}
 }
 
+// TestEvalSymmetricViewWithinDeadline: the hub's view of the uniformly
+// labelled 64-node star is the whole star, with 63 interchangeable leaves.
+// Twin pruning codes it in well under a millisecond, so the request answers
+// 200 inside its 50 ms deadline with the verdict of a cache-free
+// evaluation. The handler polls its deadline only between views, so without
+// pruning it would compute for hours: the client timeout turns that into a
+// failure, and the server is closed only once it has answered.
+func TestEvalSymmetricViewWithinDeadline(t *testing.T) {
+	s, err := newServer(testConfig())
+	if err != nil {
+		t.Fatalf("newServer: %v", err)
+	}
+	s.ready.Store(true)
+	ts := httptest.NewServer(s.mux)
+	client := &http.Client{Timeout: 10 * time.Second}
+	resp, err := client.Get(ts.URL + "/v1/eval?graph=star&n=64&decider=degree2&timeout_ms=50")
+	if err != nil {
+		t.Fatalf("no answer: %v", err)
+	}
+	t.Cleanup(func() {
+		ts.Close()
+		if err := s.close(); err != nil {
+			t.Errorf("server close: %v", err)
+		}
+	})
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil {
+		t.Fatalf("read body: %v", err)
+	}
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("status %d (want 200): %s", resp.StatusCode, body)
+	}
+	var got evalResponse
+	if err := json.Unmarshal(body, &got); err != nil {
+		t.Fatalf("bad JSON: %v", err)
+	}
+	res, err := s.residentFor("star", 64, "degree2", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := engine.EvalOblivious(res.dec, res.l, engine.Options{})
+	if want.Err != nil || got.N != 64 || got.Accepted != want.Accepted {
+		t.Fatalf("answer %+v, cache-free evaluation accepted=%v (err %v)", got, want.Accepted, want.Err)
+	}
+}
+
 // TestAdmissionControl: with one admission slot, a second concurrent
 // evaluation is shed with 429 + Retry-After, and service resumes once the
 // slot frees.

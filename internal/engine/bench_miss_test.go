@@ -18,14 +18,15 @@ import (
 //
 // Two arms per family:
 //
-//	engine  — the current miss path: shape fast paths + counting/radix
-//	          refinement (EvalOblivious with a fresh private cache per
-//	          iteration).
+//	engine  — the current miss path: shape fast paths + cell-local
+//	          refinement with twin pruning (EvalOblivious with a fresh
+//	          private cache per iteration).
 //	replica — the BENCH_5-era miss path, frozen below: the same extraction,
 //	          raw-key and cache protocol, but canonical codes computed by the
 //	          PR5 generic pipeline (per-round comparison sorts, per-node
 //	          slices.Sort of neighbour colours, int-typed SoA). CI benchgates
-//	          engine ≥3× replica on the cycle family.
+//	          engine ≥3× replica on the cycle family and engine ≤0.6×
+//	          replica on the grid family, whose views take the generic tier.
 //
 // The replica is a faithful port of internal/graph/code.go as of BENCH_5
 // (git ae9f8a1) onto the public Graph API; it exists only as a measurement

@@ -3,8 +3,10 @@ package engine
 import (
 	"errors"
 	"math/rand"
+	"slices"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/graph"
 )
@@ -53,6 +55,49 @@ func TestDedupOnCycle(t *testing.T) {
 	}
 	if out.Stats.DedupHits != 199 || out.Stats.DistinctViews != 1 {
 		t.Errorf("stats = %+v, want 199 hits over 1 distinct view", out.Stats)
+	}
+}
+
+// The radius-1 views of a sparse random host are stars with a few extra
+// edges, and a view's leaves of one label are mostly twins. Twin pruning
+// codes each view in microseconds, so a cold dedup sweep of a two-letter
+// G(500, 4/499) takes milliseconds; without it one such sweep ran for
+// minutes, all in canonical codes. Its verdicts must match a cache-free
+// sweep. The sweeps run on their own goroutine so that a regression fails
+// after the deadline instead of hanging the package.
+func TestDedupSparseRandomHost(t *testing.T) {
+	type result struct {
+		seed    int64
+		elapsed time.Duration
+		out     Outcome
+	}
+	results := make(chan result, 5)
+	go func() {
+		for seed := int64(1); seed <= 5; seed++ {
+			l := graph.RandomLabels(graph.Random(500, 4.0/499, seed), []graph.Label{"a", "b"}, seed)
+			start := time.Now()
+			out := EvalOblivious(degreeAtMost(4), l, Options{Dedup: true})
+			results <- result{seed, time.Since(start), out}
+		}
+	}()
+	for seed := int64(1); seed <= 5; seed++ {
+		var r result
+		select {
+		case r = <-results:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("seed %d: cold dedup sweep not done within 10s", seed)
+		}
+		if r.elapsed > time.Second {
+			t.Fatalf("seed %d: cold dedup sweep took %v, want under 1s", seed, r.elapsed)
+		}
+		l := graph.RandomLabels(graph.Random(500, 4.0/499, seed), []graph.Label{"a", "b"}, seed)
+		ref := EvalOblivious(degreeAtMost(4), l, Options{})
+		if r.out.Err != nil || ref.Err != nil || !slices.Equal(r.out.Verdicts, ref.Verdicts) {
+			t.Fatalf("seed %d: dedup verdicts differ from the cache-free sweep (errors %v, %v)", seed, r.out.Err, ref.Err)
+		}
+		if r.out.Stats.DistinctViews == 0 {
+			t.Fatalf("seed %d: the sweep coded no views", seed)
+		}
 	}
 }
 

@@ -2,11 +2,11 @@ package graph
 
 import (
 	"bytes"
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"math/bits"
 	"slices"
-	"sort"
 )
 
 // This file is the integer canonical-form pipeline: the allocation-free
@@ -27,9 +27,9 @@ import (
 // fastpath.go (rooted paths, cycles and bounded-degree trees — the dominant
 // small view shapes — get closed-form canonical codes in O(n), in a byte
 // namespace disjoint from the generic encoder's). Everything else runs the
-// generic search below: 1-WL refinement with counting/radix rounds over the
-// dense colour range, then individualisation-refinement branching where the
-// colouring is not discrete.
+// generic search below: 1-WL refinement in cell-local rounds over an
+// ordered partition, then individualisation-refinement branching where the
+// colouring is not discrete, with twins pruned from the branching.
 //
 // RefinementCode stops after the refinement: it emits the stable
 // colouring's class summary and colour-pair edge profile, an invariant that
@@ -135,53 +135,43 @@ func fingerprint64(b []byte) uint64 {
 // re-hashes stored code bytes through it to detect corrupted entries.
 func Fingerprint(b []byte) uint64 { return fingerprint64(b) }
 
-// radixMaxSigLen bounds the refinement-signature length (1 + degree) for
-// which the counting/radix sort runs: an LSD radix pass touches every node
-// once per signature position, so skewed-degree inputs (one hub of degree
-// n-1 would force n passes over all nodes) fall back to the comparison sort.
-// Every view family the engine dedups is bounded-degree, far below the
-// bound.
-const radixMaxSigLen = 16
-
 // CodeWorkspace holds every buffer the canonical-form search needs: the
-// colour arrays, the flat refinement-signature storage, the counting and
-// ordering scratch, the encoder's output buffer and the per-depth branching
-// frames of the individualisation-refinement search. All of it is reused
-// between calls, so computing the code of a view allocates nothing once the
-// workspace has warmed up to the largest view seen.
+// colour arrays, the ordered partition and sort keys of the refinement, the
+// encoder's output buffer and the per-depth branching frames of the
+// individualisation-refinement search. All of it is reused between calls,
+// so computing the code of a view allocates nothing once the workspace has
+// warmed up to the largest view seen.
 //
 // A CodeWorkspace is not safe for concurrent use; give each worker its own
 // (the engine does, via the per-worker ViewExtractor).
 type CodeWorkspace struct {
 	// Colouring state for the top-level call; branches use frame buffers.
-	// Colours and signatures are int32 — node counts fit (the Graph
-	// representation is int32-bounded) and the halved element size keeps the
-	// refinement loop's working set cache-dense.
-	cur []int32
+	// Colours are int32 — node counts fit (the Graph representation is
+	// int32-bounded) and the halved element size keeps the refinement's
+	// working set cache-dense. next is the fast paths' second walk buffer.
+	cur  []int32
+	next []int32
 
-	// Refinement scratch: per-node signature (colour followed by the
-	// neighbour colour multiset in ascending order) stored flat in sigBuf at
-	// sigPos/sigLen. sigCur is the per-node write cursor of the
-	// counting-based signature fill; order/order2 are the ping-pong node
-	// permutations of the LSD radix rounds.
-	next   []int32
-	sigPos []int
-	sigLen []int
-	sigCur []int
-	sigBuf []int32
-	order  []int
-	order2 []int
-	counts []int
+	// The refinement's ordered partition: perm lists the nodes cell by cell
+	// in colour order, cell c being perm[cells[c]:cells[c+1]]; a round
+	// builds the next cell starts in split, and the two swap. After refine
+	// returns they describe its final colouring.
+	perm  []int32
+	cells []int32
+	split []int32
+	// packed holds every node's neighbour colours packed into one word for
+	// the current round, and keys a cell's members with their packed words
+	// while it is sorted. nbrCols holds the neighbour colours, ascending, at
+	// each node's CSR row position, for cells too wide to pack.
+	packed  []uint64
+	keys    []cellKey
+	nbrCols []int32
 
-	// Persistent sorters so sort.Sort receives a pointer into the workspace
-	// and no closure or interface value is allocated on the (rare)
-	// comparison-sort fallback.
-	initS initSorter
-	sigS  sigSorter
+	// labels is initColors' list of distinct labels.
+	labels []Label
 
-	// Encoder scratch.
-	encOrder []int
-	encNbrs  []int32
+	// encNbrs is the encoder's adjacency-row scratch.
+	encNbrs []int32
 
 	// pairs is RefinementCode's colour-pair scratch, one entry per edge.
 	pairs []uint64
@@ -204,17 +194,26 @@ type CodeWorkspace struct {
 	frames []canonFrame
 }
 
+// canonFrame is one search depth's state: the colouring its branches
+// start from, the members of the target cell already explored (for twin
+// pruning), and the best and current leaf codes.
 type canonFrame struct {
-	colors []int32
-	best   []byte
-	try    []byte
+	colors   []int32
+	explored []int32
+	best     []byte
+	try      []byte
+}
+
+// cellKey is a member of the cell being sorted with its packed
+// neighbour-colour list, padded to the cell's largest degree.
+type cellKey struct {
+	key uint64
+	v   int32
 }
 
 // NewCodeWorkspace returns an empty workspace; buffers grow on first use.
 func NewCodeWorkspace() *CodeWorkspace {
-	w := &CodeWorkspace{}
-	w.sigS.w = w
-	return w
+	return &CodeWorkspace{}
 }
 
 // GraphCode returns the canonical code of an unrooted labelled graph — the
@@ -273,19 +272,27 @@ func (w *CodeWorkspace) RefinementCode(l *Labeled, root int) Code {
 	colors := w.cur[:n]
 	k := w.refine(l.G, colors, w.initColors(l, root))
 
+	// The code is sized before it is written: the class summary copies every
+	// class's label, so a pivot neighbourhood's code runs to megabytes, and
+	// growing it append by append would allocate several times its length.
+	// An edge-profile entry is three uvarints of at most 32 bits.
+	cells := w.cells[:k+1]
+	size := 2 + 2*binary.MaxVarintLen64 + 3*binary.MaxVarintLen32*l.G.M()
+	for c := 0; c < k; c++ {
+		size += 1 + 2*binary.MaxVarintLen64 + len(l.Labels[w.perm[cells[c]]])
+	}
+	if cap(w.buf) < size {
+		w.buf = make([]byte, 0, size)
+	}
 	out := append(w.buf[:0], fastCodePrefix, refineCodeTag)
 	out = binary.AppendUvarint(out, uint64(n))
-	// Class summary. Refinement only splits the initial (root flag, label)
-	// classes, so any member represents its class's flag and label.
-	counts, members := w.counts[:k], w.encOrder[:k]
-	clear(counts)
-	for v, c := range colors {
-		counts[c]++
-		members[c] = v
-	}
+	// Class summary, read off refine's final partition. Refinement only
+	// splits the initial (root flag, label) classes, so any member
+	// represents its class's flag and label.
 	out = binary.AppendUvarint(out, uint64(k))
-	for c, v := range members {
-		out = binary.AppendUvarint(out, uint64(counts[c]))
+	for c := 0; c < k; c++ {
+		out = binary.AppendUvarint(out, uint64(cells[c+1]-cells[c]))
+		v := int(w.perm[cells[c]])
 		flag := byte(0)
 		if v == root {
 			flag = 1
@@ -297,6 +304,9 @@ func (w *CodeWorkspace) RefinementCode(l *Labeled, root int) Code {
 	}
 	// Edge profile: one (low colour, high colour) key per edge, sorted, then
 	// emitted run by run.
+	if cap(w.pairs) < l.G.M() {
+		w.pairs = make([]uint64, 0, l.G.M())
+	}
 	pairs := w.pairs[:0]
 	offsets, nbrs := l.G.offsets, l.G.neighbors
 	for u := 0; u < n; u++ {
@@ -345,18 +355,18 @@ func (w *CodeWorkspace) genericCode(l *Labeled, root int) Code {
 
 // grow sizes the per-node buffers for an n-node input. The frames slice is
 // grown up front because recursion depth is bounded by n and frame pointers
-// must not move while a deeper call appends.
+// must not move while a deeper call appends; each frame sizes its own
+// colouring and explored list on first use at its depth.
 func (w *CodeWorkspace) grow(n int) {
 	if cap(w.cur) < n {
 		w.cur = make([]int32, n)
 		w.next = make([]int32, n)
-		w.sigPos = make([]int, n)
-		w.sigLen = make([]int, n)
-		w.sigCur = make([]int, n)
-		w.order = make([]int, n)
-		w.order2 = make([]int, n)
-		w.counts = make([]int, n+2)
-		w.encOrder = make([]int, n)
+		w.perm = make([]int32, n)
+		w.cells = make([]int32, n+1)
+		w.split = make([]int32, n+1)
+		w.keys = make([]cellKey, n)
+		w.packed = make([]uint64, n)
+		w.labels = make([]Label, 0, n)
 	}
 	if len(w.frames) < n+1 {
 		frames := make([]canonFrame, n+1)
@@ -371,96 +381,85 @@ func (w *CodeWorkspace) grow(n int) {
 // prewarms its shared workspace with each extracted view's dimensions.
 func (w *CodeWorkspace) Prewarm(n, m int) {
 	w.grow(n)
-	if need := n + 2*m; cap(w.sigBuf) < need {
-		w.sigBuf = make([]int32, need)
+	if cap(w.nbrCols) < 2*m {
+		w.nbrCols = make([]int32, 2*m)
 	}
 }
 
 // initColors assigns the initial colouring by (root flag, label): the root —
-// when present — forms the smallest class, and the remaining classes are
-// ordered by label. This is the integer analogue of the legacy base-string
-// densification: it depends only on label values and the root choice, so it
-// is invariant under isomorphism.
+// when present — forms class 0, and the other nodes follow in the order of
+// their labels. It numbers the distinct labels of the non-root nodes as
+// they first appear — a view carries few — and ranks only those, instead
+// of sorting all n nodes. This is the integer analogue of the legacy
+// base-string densification: it depends only on label values and the root
+// choice, so it is invariant under isomorphism.
 func (w *CodeWorkspace) initColors(l *Labeled, root int) int {
-	n := l.N()
-	// Fast path for the uniform labelling that dominates engine sweeps: the
-	// root (when present) is class 0 and everything else one class — exactly
-	// what the sort below produces, without sorting.
-	uniform := true
-	for _, lab := range l.Labels {
-		if lab != l.Labels[0] {
-			uniform = false
-			break
+	dist := w.labels[:0]
+	for v, lab := range l.Labels {
+		if v == root {
+			continue
 		}
+		id := slices.Index(dist, lab)
+		if id < 0 {
+			id = len(dist)
+			dist = append(dist, lab)
+		}
+		w.cur[v] = int32(id)
 	}
-	if uniform {
-		if root < 0 || n == 1 {
-			for i := 0; i < n; i++ {
-				w.cur[i] = 0
-			}
-			return 1
-		}
-		for i := 0; i < n; i++ {
-			w.cur[i] = 1
-		}
+	w.labels = dist
+	// order lists the label ids by label and rank inverts it; both borrow
+	// refine's partition buffers, which refine rebuilds.
+	order, rank := w.split[:len(dist)], w.perm[:len(dist)]
+	for id := range order {
+		order[id] = int32(id)
+	}
+	slices.SortFunc(order, func(a, b int32) int { return cmp.Compare(dist[a], dist[b]) })
+	for r, id := range order {
+		rank[id] = int32(r)
+	}
+	base := 0
+	if root >= 0 {
 		w.cur[root] = 0
-		return 2
+		base = 1
 	}
-	order := w.order[:n]
-	for i := range order {
-		order[i] = i
-	}
-	w.initS = initSorter{order: order, labels: l.Labels, root: root}
-	sort.Sort(&w.initS)
-	k := int32(0)
-	w.cur[order[0]] = 0
-	for i := 1; i < n; i++ {
-		prev, v := order[i-1], order[i]
-		if (v == root) != (prev == root) || l.Labels[v] != l.Labels[prev] {
-			k++
+	for v := range l.Labels {
+		if v != root {
+			w.cur[v] = int32(base) + rank[w.cur[v]]
 		}
-		w.cur[v] = k
 	}
-	return int(k) + 1
-}
-
-// initSorter orders nodes by (root-first, label).
-type initSorter struct {
-	order  []int
-	labels []Label
-	root   int
-}
-
-func (s *initSorter) Len() int      { return len(s.order) }
-func (s *initSorter) Swap(i, j int) { s.order[i], s.order[j] = s.order[j], s.order[i] }
-func (s *initSorter) Less(i, j int) bool {
-	a, b := s.order[i], s.order[j]
-	if (a == s.root) != (b == s.root) {
-		return a == s.root
-	}
-	return s.labels[a] < s.labels[b]
+	return base + len(dist)
 }
 
 // canon is the individualisation-refinement search over integer colourings:
 // refine to a stable colouring; if discrete, encode; otherwise branch over
-// the members of the smallest non-singleton class and keep the
+// the members of the first non-singleton cell and keep the
 // lexicographically smallest byte code. colors is refined in place; k is its
 // current class count.
+//
+// A member that is a twin of one already explored at this depth — same
+// colour and N(u)∖{v} = N(v)∖{u} — is skipped: swapping the two is an
+// automorphism that fixes the current colouring, so its branch yields the
+// same leaf codes as the explored one, and the smallest code is unchanged.
+// This keeps interchangeable leaves, such as a uniformly labelled star's,
+// from costing factorial time.
 func (w *CodeWorkspace) canon(l *Labeled, root, depth, k int, colors []int32, out []byte) []byte {
 	k = w.refine(l.G, colors, k)
-	target := w.firstNonSingletonClass(colors, k)
+	target := w.firstNonSingletonCell(k)
 	if target < 0 {
 		return w.encode(l, root, colors, out)
 	}
 	f := &w.frames[depth]
 	if cap(f.colors) < len(colors) {
 		f.colors = make([]int32, len(colors))
+		f.explored = make([]int32, 0, len(colors))
 	}
+	f.explored = f.explored[:0]
 	haveBest := false
 	for v := range colors {
-		if int(colors[v]) != target {
+		if int(colors[v]) != target || twinOfAny(l.G, f.explored, int32(v)) {
 			continue
 		}
+		f.explored = append(f.explored, int32(v))
 		bc := f.colors[:len(colors)]
 		copy(bc, colors)
 		// Individualise v: a fresh colour class below all others, keeping
@@ -478,195 +477,188 @@ func (w *CodeWorkspace) canon(l *Labeled, root, depth, k int, colors []int32, ou
 	return append(out, f.best...)
 }
 
-// refine runs 1-WL colour refinement in counting passes over the dense
-// colour range. Each round:
+// twinOfAny reports whether v is a twin of some node in explored.
+func twinOfAny(g *Graph, explored []int32, v int32) bool {
+	for _, u := range explored {
+		if twins(g.row(int(u)), g.row(int(v)), u, v) {
+			return true
+		}
+	}
+	return false
+}
+
+// twins reports whether nodes u and v, with sorted adjacency rows a and b,
+// have N(u)∖{v} = N(v)∖{u}: the rows match once each skips the other node.
+func twins(a, b []int32, u, v int32) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i, j := 0, 0; ; i, j = i+1, j+1 {
+		if i < len(a) && a[i] == v {
+			i++
+		}
+		if j < len(b) && b[j] == u {
+			j++
+		}
+		if i == len(a) || j == len(b) {
+			return i == len(a) && j == len(b)
+		}
+		if a[i] != b[j] {
+			return false
+		}
+	}
+}
+
+// refine runs 1-WL colour refinement as cell-local rounds over an ordered
+// partition (McKay and Piperno, "Practical graph isomorphism, II", 2014).
+// The nodes are laid out once, cell by cell in colour order. Each round
+// packs every node's neighbour colours, ascending, into one word, then
+// looks only at the cells with more than one member: it sorts each by its
+// members' lists (a proper prefix first) and splits it into runs of equal
+// lists. When no cell splits, or every cell is a singleton, the colouring
+// is stable; otherwise the cells from the first split on are renumbered
+// densely in partition order and the next round starts. All lists of a
+// round read the colours the round started with.
 //
-//  1. orders nodes by current colour with one counting sort;
-//  2. builds every node's signature — its colour followed by its neighbour
-//     colours in ascending order — WITHOUT any per-node sort: walking the
-//     nodes u in ascending colour order and appending colour(u) to each
-//     neighbour's signature emits every neighbour list already sorted
-//     (one O(n+m) scatter, the classic partition-refinement trick);
-//  3. sorts the node permutation lexicographically by signature with LSD
-//     radix passes (pad-at-end sentinel smaller than every colour, so the
-//     padded fixed-length order equals the shorter-prefix-first variable
-//     length order the comparison sort used — the resulting colouring, and
-//     hence the emitted bytes, are unchanged);
-//  4. re-densifies colours along the sorted order until the class count
-//     stabilises.
+// The colouring is the one the round-synchronous refinement gives, which
+// ranks every node by its signature — its colour, then its sorted neighbour
+// colours — and numbers the signatures densely: the colour is the
+// signature's first component, so a new colour ranks first by the old one,
+// a singleton cell's member only shifts, and "no cell split" is "the class
+// count is unchanged". Codes therefore stay byte-identical to those of the
+// radix refinement kept in refine_reference_test.go, and persisted verdict
+// keys stay valid.
 //
-// Total cost per round is O(n + m + maxSig·(n + k)) with maxSig = 1 + max
-// degree — no comparison sort, no interface dispatch, no per-node
-// slices.Sort. Inputs with maxSig > radixMaxSigLen (degree-skewed hosts, not
-// views) take the comparison fallback, which is the pre-counting behaviour.
-// colors is updated in place; the final class count is returned.
+// The packing is one scatter over the edges in partition order, which
+// appends each node's neighbour colours in ascending order, most
+// significant first and offset by one. A cell whose largest degree times
+// the bit width of n exceeds 64 cannot use the packed words; it builds its
+// members' lists and compares them in place. colors must be dense — every
+// colour in [0, k) used — and is updated in place; the final class count is
+// returned, and the final partition is left in perm and cells.
 func (w *CodeWorkspace) refine(g *Graph, colors []int32, k int) int {
 	n := len(colors)
-	offsets, nbrs := g.offsets, g.neighbors
-	if need := n + len(nbrs); cap(w.sigBuf) < need {
-		w.sigBuf = make([]int32, need)
+	if cap(w.nbrCols) < len(g.neighbors) {
+		w.nbrCols = make([]int32, len(g.neighbors))
 	}
-	sigBuf := w.sigBuf[:n+len(nbrs)]
-	for {
-		// (1) order nodes by current colour (counting sort).
-		counts := w.counts[:k+1]
-		for c := range counts {
-			counts[c] = 0
-		}
-		for _, c := range colors {
-			counts[c]++
-		}
-		sum := 0
-		for c := range counts {
-			counts[c], sum = sum, sum+counts[c]
-		}
-		order := w.order[:n]
-		for v := 0; v < n; v++ {
-			c := colors[v]
-			order[counts[c]] = v
-			counts[c]++
-		}
-		// (2) signature layout and sorted-neighbour fill.
-		pos, maxSig := 0, 0
-		for v := 0; v < n; v++ {
-			w.sigPos[v] = pos
-			w.sigCur[v] = pos + 1
-			d := int(offsets[v+1] - offsets[v])
-			w.sigLen[v] = 1 + d
-			if 1+d > maxSig {
-				maxSig = 1 + d
-			}
-			sigBuf[pos] = colors[v]
-			pos += 1 + d
-		}
-		for _, u := range order {
-			cu := colors[u]
+	// Lay the nodes out cell by cell: a counting sort by colour.
+	perm, cells := w.perm[:n], w.cells[:k+1]
+	clear(cells)
+	for _, c := range colors {
+		cells[c+1]++
+	}
+	for c := 1; c <= k; c++ {
+		cells[c] += cells[c-1]
+	}
+	for v, c := range colors {
+		perm[cells[c]] = int32(v)
+		cells[c]++
+	}
+	copy(cells[1:], cells[:k])
+	cells[0] = 0
+	width := bits.Len(uint(n))
+	offsets, nbrs, packed := g.offsets, g.neighbors, w.packed[:n]
+	for k < n {
+		clear(packed)
+		for _, u := range perm {
+			cu := uint64(colors[u]) + 1
 			for _, v := range nbrs[offsets[u]:offsets[u+1]] {
-				sigBuf[w.sigCur[v]] = cu
-				w.sigCur[v]++
+				packed[v] = packed[v]<<width | cu
 			}
 		}
-		// (3) lexicographic sort of the permutation by signature.
-		if maxSig <= radixMaxSigLen {
-			w.radixOrder(n, k, maxSig)
-		} else if n <= 32 {
-			for i := 1; i < n; i++ {
-				for j := i; j > 0 && w.compareSig(order[j-1], order[j]) > 0; j-- {
-					order[j-1], order[j] = order[j], order[j-1]
+		next := w.split[:n+1]
+		kNext, first := 0, -1
+		for c := 0; c < k; c++ {
+			lo, hi := int(cells[c]), int(cells[c+1])
+			next[kNext] = int32(lo)
+			kNext++
+			if hi-lo < 2 {
+				continue
+			}
+			before := kNext
+			kNext = w.splitCell(g, colors, width, lo, hi, next, kNext)
+			if first < 0 && kNext > before {
+				first = before - 1
+			}
+		}
+		if first < 0 {
+			break
+		}
+		next[kNext] = int32(n)
+		for c := first; c < kNext; c++ {
+			for _, v := range perm[next[c]:next[c+1]] {
+				colors[v] = int32(c)
+			}
+		}
+		w.cells, w.split = w.split, w.cells
+		cells, k = w.cells[:kNext+1], kNext
+	}
+	return k
+}
+
+// splitCell sorts the cell perm[lo:hi] by its members' sorted
+// neighbour-colour lists and appends to next[kNext:] the position of every
+// run of equal lists after the first, returning the new length of next.
+func (w *CodeWorkspace) splitCell(g *Graph, colors []int32, width, lo, hi int, next []int32, kNext int) int {
+	offsets, nbrs := g.offsets, g.neighbors
+	cell := w.perm[lo:hi]
+	maxDeg := 0
+	for _, v := range cell {
+		maxDeg = max(maxDeg, int(offsets[v+1]-offsets[v]))
+	}
+	if maxDeg*width <= 64 {
+		// Padding a shorter list with zero fields puts it before every
+		// longer list it is a prefix of.
+		keys := w.keys[:len(cell)]
+		for i, v := range cell {
+			pad := width * (maxDeg - int(offsets[v+1]-offsets[v]))
+			keys[i] = cellKey{key: w.packed[v] << pad, v: v}
+		}
+		if len(keys) <= 16 {
+			for i := 1; i < len(keys); i++ {
+				for j := i; j > 0 && keys[j-1].key > keys[j].key; j-- {
+					keys[j-1], keys[j] = keys[j], keys[j-1]
 				}
 			}
 		} else {
-			w.sigS.n = n
-			sort.Sort(&w.sigS)
+			slices.SortFunc(keys, func(a, b cellKey) int { return cmp.Compare(a.key, b.key) })
 		}
-		// (4) densify along the sorted order.
-		next := w.next[:n]
-		kNext := int32(0)
-		next[order[0]] = 0
-		for i := 1; i < n; i++ {
-			if w.compareSig(order[i-1], order[i]) != 0 {
+		for i, kv := range keys {
+			cell[i] = kv.v
+			if i > 0 && kv.key != keys[i-1].key {
+				next[kNext] = int32(lo + i)
 				kNext++
 			}
-			next[order[i]] = kNext
 		}
-		copy(colors, next)
-		if int(kNext)+1 == k {
-			return k
-		}
-		k = int(kNext) + 1
+		return kNext
 	}
+	lists := w.nbrCols
+	for _, v := range cell {
+		list := lists[offsets[v]:offsets[v+1]]
+		for i, u := range nbrs[offsets[v]:offsets[v+1]] {
+			list[i] = colors[u]
+		}
+		sortInt32sSmall(list)
+	}
+	compare := func(a, b int32) int {
+		return slices.Compare(lists[offsets[a]:offsets[a+1]], lists[offsets[b]:offsets[b+1]])
+	}
+	slices.SortFunc(cell, compare)
+	for i := 1; i < len(cell); i++ {
+		if compare(cell[i-1], cell[i]) != 0 {
+			next[kNext] = int32(lo + i)
+			kNext++
+		}
+	}
+	return kNext
 }
 
-// radixOrder sorts w.order[:n] lexicographically by signature with stable
-// LSD counting passes, one per signature position from last to first.
-// Signatures shorter than the pass position contribute the sentinel key 0,
-// which sorts below every colour key c+1 — exactly the
-// shorter-is-smaller-on-a-common-prefix rule of compareSig.
-func (w *CodeWorkspace) radixOrder(n, k, maxSig int) {
-	a, b := w.order[:n], w.order2[:n]
-	sigBuf := w.sigBuf
-	for p := maxSig - 1; p >= 0; p-- {
-		counts := w.counts[:k+2]
-		for c := range counts {
-			counts[c] = 0
-		}
-		for _, v := range a {
-			key := 0
-			if p < w.sigLen[v] {
-				key = int(sigBuf[w.sigPos[v]+p]) + 1
-			}
-			counts[key]++
-		}
-		sum := 0
-		for c := range counts {
-			counts[c], sum = sum, sum+counts[c]
-		}
-		for _, v := range a {
-			key := 0
-			if p < w.sigLen[v] {
-				key = int(sigBuf[w.sigPos[v]+p]) + 1
-			}
-			b[counts[key]] = v
-			counts[key]++
-		}
-		a, b = b, a
-	}
-	if &a[0] != &w.order[0] {
-		copy(w.order[:n], a)
-	}
-}
-
-// compareSig lexicographically compares two node signatures (shorter is
-// smaller on a common prefix). Signatures are tuples of colour numbers, so
-// the ordering is invariant under isomorphism.
-func (w *CodeWorkspace) compareSig(a, b int) int {
-	pa, la := w.sigPos[a], w.sigLen[a]
-	pb, lb := w.sigPos[b], w.sigLen[b]
-	m := la
-	if lb < m {
-		m = lb
-	}
-	buf := w.sigBuf
-	for i := 0; i < m; i++ {
-		if x, y := buf[pa+i], buf[pb+i]; x != y {
-			if x < y {
-				return -1
-			}
-			return 1
-		}
-	}
-	return la - lb
-}
-
-// sigSorter orders the workspace's node permutation by signature (the
-// comparison fallback for signature lengths beyond the radix bound).
-type sigSorter struct {
-	w *CodeWorkspace
-	n int
-}
-
-func (s *sigSorter) Len() int { return s.n }
-func (s *sigSorter) Swap(i, j int) {
-	o := s.w.order
-	o[i], o[j] = o[j], o[i]
-}
-func (s *sigSorter) Less(i, j int) bool {
-	return s.w.compareSig(s.w.order[i], s.w.order[j]) < 0
-}
-
-// firstNonSingletonClass returns the smallest colour with more than one
-// member, or -1 when the colouring is discrete. Slice-based counting over the
-// dense colour range.
-func (w *CodeWorkspace) firstNonSingletonClass(colors []int32, k int) int {
-	counts := w.counts[:k]
-	for c := range counts {
-		counts[c] = 0
-	}
-	for _, c := range colors {
-		counts[c]++
-	}
-	for c, cnt := range counts {
-		if cnt > 1 {
+// firstNonSingletonCell returns the first cell of refine's final partition
+// with more than one member, or -1 when the colouring is discrete.
+func (w *CodeWorkspace) firstNonSingletonCell(k int) int {
+	cells := w.cells[:k+1]
+	for c := 0; c < k; c++ {
+		if cells[c+1]-cells[c] > 1 {
 			return c
 		}
 	}
@@ -677,17 +669,16 @@ func (w *CodeWorkspace) firstNonSingletonClass(colors []int32, k int) int {
 // per node (in colour order) the root flag and length-prefixed label, then
 // per node the sorted adjacency as canonical positions. The encoding is
 // unambiguous, so equal byte codes imply a label- and root-preserving
-// isomorphism — the same guarantee as the legacy string encoder.
+// isomorphism — the same guarantee as the legacy string encoder. It runs
+// right after refine, whose discrete partition lists the nodes in colour
+// order.
 func (w *CodeWorkspace) encode(l *Labeled, root int, colors []int32, out []byte) []byte {
 	n := l.N()
-	order := w.encOrder[:n]
-	for v, c := range colors {
-		order[c] = v
-	}
+	order := w.perm[:n]
 	out = binary.AppendUvarint(out, uint64(n))
 	for _, v := range order {
 		flag := byte(0)
-		if v == root {
+		if int(v) == root {
 			flag = 1
 		}
 		out = append(out, flag)

@@ -297,3 +297,30 @@ func TestCloneDetaches(t *testing.T) {
 		t.Fatal("Clone did not detach from workspace memory")
 	}
 }
+
+// TestTwins pins the relation twin pruning skips branches by, N(u)∖{v} =
+// N(v)∖{u}, on adjacent and non-adjacent pairs.
+func TestTwins(t *testing.T) {
+	k4, star, path := Complete(4), Star(5), Path(4)
+	lonely := New(3)
+	lonely.AddEdge(0, 1)
+	cases := []struct {
+		name string
+		g    *Graph
+		u, v int32
+		want bool
+	}{
+		{"complete graph, adjacent", k4, 0, 3, true},
+		{"star leaves, non-adjacent", star, 1, 4, true},
+		{"star hub and leaf", star, 0, 2, false},
+		{"path ends", path, 0, 3, false},
+		{"path inner nodes, adjacent", path, 1, 2, false},
+		{"edge ends", lonely, 0, 1, true},
+		{"isolated node and edge end", lonely, 2, 0, false},
+	}
+	for _, c := range cases {
+		if got := twins(c.g.row(int(c.u)), c.g.row(int(c.v)), c.u, c.v); got != c.want {
+			t.Errorf("%s: twins(%d, %d) = %v, want %v", c.name, c.u, c.v, got, c.want)
+		}
+	}
+}

@@ -3,6 +3,7 @@ package graph
 import (
 	"bytes"
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -115,4 +116,149 @@ func TestRefinementCodeCarriesLabelsVerbatim(t *testing.T) {
 			t.Fatalf("label %q missing from the code", lab)
 		}
 	}
+}
+
+// decodeRefineInput turns fuzz bytes into a labelled graph of 1 to 64 nodes
+// over a three-letter alphabet, an optional root and an optional vertex to
+// individualise after the first refinement (-1 when absent). Byte 0 is the
+// node count, byte 1 the flags (bit 0: rooted, bit 1: individualise), bytes
+// 2 and 3 the root and the vertex, then one label byte per node, then edges
+// as endpoint pairs; self-loops are dropped and repeats merged.
+func decodeRefineInput(data []byte) (l *Labeled, root, indiv int) {
+	if len(data) < 4 {
+		return nil, -1, -1
+	}
+	n := 1 + int(data[0])%64
+	root, indiv = -1, -1
+	if data[1]&1 != 0 {
+		root = int(data[2]) % n
+	}
+	if data[1]&2 != 0 {
+		indiv = int(data[3])
+	}
+	data = data[4:]
+	labels := make([]Label, n)
+	for v := range labels {
+		labels[v] = "a"
+		if v < len(data) {
+			labels[v] = Label(rune('a' + data[v]%3))
+		}
+	}
+	data = data[min(n, len(data)):]
+	b := NewBuilder(n)
+	for ; len(data) >= 2; data = data[2:] {
+		if u, v := int(data[0])%n, int(data[1])%n; u != v {
+			b.AddEdge(u, v)
+		}
+	}
+	return NewLabeled(b.Build(), labels), root, indiv
+}
+
+// encodeRefineInput is decodeRefineInput's inverse for graphs of at most 64
+// nodes, used to build the seed corpus.
+func encodeRefineInput(l *Labeled, root, indiv int) []byte {
+	flags := byte(0)
+	if root >= 0 {
+		flags |= 1
+	}
+	if indiv >= 0 {
+		flags |= 2
+	}
+	data := []byte{byte(l.N() - 1), flags, byte(max(root, 0)), byte(max(indiv, 0))}
+	for _, lab := range l.Labels {
+		data = append(data, lab[0]-'a')
+	}
+	for _, e := range l.G.Edges() {
+		data = append(data, byte(e[0]), byte(e[1]))
+	}
+	return data
+}
+
+// checkPartition requires the workspace's partition to describe colors: k
+// cells in colour order, each listing exactly the nodes of its colour.
+func checkPartition(t *testing.T, w *CodeWorkspace, colors []int32, k int) {
+	t.Helper()
+	cells := w.cells[:k+1]
+	if cells[0] != 0 || int(cells[k]) != len(colors) {
+		t.Fatalf("partition spans [%d, %d), want [0, %d)", cells[0], cells[k], len(colors))
+	}
+	for c := 0; c < k; c++ {
+		if cells[c+1] <= cells[c] {
+			t.Fatalf("cell %d is empty", c)
+		}
+		for _, v := range w.perm[cells[c]:cells[c+1]] {
+			if colors[v] != int32(c) {
+				t.Fatalf("node %d of cell %d has colour %d", v, c, colors[v])
+			}
+		}
+	}
+}
+
+// FuzzRefineMatchesReference pins the cell-local refinement to the radix
+// refinement it replaced: from the same graph and root, the initial
+// colourings, the refined colourings and their class counts must be equal,
+// and again after individualising a vertex of a non-singleton class the way
+// the search does. Equal colourings are what keep every code byte-identical.
+func FuzzRefineMatchesReference(f *testing.F) {
+	ab := []Label{"a", "b"}
+	grid := ObliviousViewOf(RandomLabels(Grid(7, 7), ab, 1), 24, 3)
+	hub := NewBuilder(64)
+	rng := rand.New(rand.NewSource(2))
+	for v := 1; v < 64; v++ {
+		hub.AddEdge(0, v)
+		if u := 1 + rng.Intn(63); u != v {
+			hub.AddEdge(u, v)
+		}
+	}
+	hubL := RandomLabels(hub.Build(), []Label{"a", "b", "c"}, 3)
+	f.Add(encodeRefineInput(grid.Labeled, grid.Root, 5))
+	f.Add(encodeRefineInput(hubL, -1, 7))
+	f.Add(encodeRefineInput(hubL, 0, -1))
+	f.Add(encodeRefineInput(UniformlyLabeled(Star(40), "a"), 0, 3))
+	f.Add(encodeRefineInput(RandomLabels(New(12), []Label{"a", "b", "c"}, 4), -1, 2))
+	f.Add(encodeRefineInput(UniformlyLabeled(New(1), "a"), 0, -1))
+	f.Fuzz(func(t *testing.T, data []byte) {
+		l, root, indiv := decodeRefineInput(data)
+		if l == nil {
+			return
+		}
+		n := l.N()
+		w := NewCodeWorkspace()
+		w.grow(n)
+		ref := newRadixRefiner(n, l.G.M())
+		got, want := w.cur[:n], make([]int32, n)
+		k, wantK := w.initColors(l, root), ref.initColors(l, root, want)
+		compare := func(stage string) {
+			t.Helper()
+			if k != wantK || !slices.Equal(got, want) {
+				t.Fatalf("%s: colouring %v with %d classes, reference %v with %d", stage, got, k, want, wantK)
+			}
+		}
+		compare("initial")
+		k, wantK = w.refine(l.G, got, k), ref.refine(l.G, want, wantK)
+		compare("refined")
+		checkPartition(t, w, got, k)
+		if indiv < 0 {
+			return
+		}
+		// Individualise the indiv-th member of a non-singleton class.
+		var members []int
+		for v := range got {
+			if w.cells[got[v]+1]-w.cells[got[v]] > 1 {
+				members = append(members, v)
+			}
+		}
+		if len(members) == 0 {
+			return
+		}
+		x := members[indiv%len(members)]
+		for v := range got {
+			got[v]++
+			want[v]++
+		}
+		got[x], want[x] = 0, 0
+		k, wantK = w.refine(l.G, got, k+1), ref.refine(l.G, want, wantK+1)
+		compare("individualised")
+		checkPartition(t, w, got, k)
+	})
 }
