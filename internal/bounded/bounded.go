@@ -197,9 +197,6 @@ func (p Params) VerifyLarge(l *graph.Labeled) error {
 	return nil
 }
 
-// PropertyP is the paper's P for fixed parameters: membership = some H+.
-func (p Params) PropertyP() string { return fmt.Sprintf("P(r=%d,f=%s)", p.R, p.Bound.Name()) }
-
 // ContainsP reports (G, x) ∈ P.
 func (p Params) ContainsP(l *graph.Labeled) bool {
 	_, err := p.VerifySmall(l)
@@ -464,13 +461,6 @@ func (c CoverageReport) InteriorFraction() float64 {
 		return 1
 	}
 	return float64(c.InteriorCovered) / float64(c.InteriorNodes)
-}
-
-// MeasureCoverage computes the coverage report for the exact construction
-// (host = T_r of depth R(r)). Only feasible for very small parameters; use
-// MeasureCoverageAtDepth for the parameter sweeps.
-func (p Params) MeasureCoverage(horizon int) (CoverageReport, error) {
-	return p.MeasureCoverageAtDepth(p.BigR(), horizon)
 }
 
 // MeasureCoverageAtDepth measures view coverage with a host layered tree of

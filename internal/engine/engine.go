@@ -257,15 +257,8 @@ type Options struct {
 	// name and horizon) are served without re-deciding. Setting Cache
 	// implies Dedup; the same soundness conditions apply, plus the naming
 	// condition documented on ViewCache. When nil and Dedup is set, the
-	// engine uses a private cache for the one evaluation.
+	// engine uses a private NewViewCache for the one evaluation.
 	Cache *ViewCache
-	// CacheBytes bounds the private dedup cache the engine creates when
-	// Dedup is set without an explicit Cache: the cache is byte-accounted
-	// and CLOCK-evicted so it never exceeds this many bytes (see
-	// NewBoundedViewCache). 0 means the historical unbounded-with-entry-cap
-	// private cache; negative is a validation error. Ignored when
-	// Options.Cache is provided — bound a shared cache at construction.
-	CacheBytes int64
 	// Ctx, when set, bounds the evaluation: every scheduler (and EvalBatch)
 	// polls it before each node's decide and stops deciding once it is done,
 	// returning Outcome{Accepted: false, Err: wrapping ctx.Err()}. This is
@@ -298,8 +291,7 @@ type Options struct {
 
 // Eval evaluates a decider on every node of an identifier-carrying instance.
 // A malformed decider or options yields Outcome{Accepted: false, Err: ...}
-// instead of a panic — library callers degrade gracefully; MustEval keeps the
-// panicking contract for call sites that want it.
+// instead of a panic — library callers degrade gracefully.
 func Eval(dec Decider, in *graph.Instance, opts Options) Outcome {
 	j, err := newJob(dec, in.Labeled, in, opts)
 	if err != nil {
@@ -319,18 +311,9 @@ func EvalOblivious(dec Decider, l *graph.Labeled, opts Options) Outcome {
 	return j.run()
 }
 
-// MustEval is Eval panicking on any Outcome.Err — validation failures, empty
-// instances and node-level verdict errors alike. For call sites where a
-// failed evaluation is a programming error.
-func MustEval(dec Decider, in *graph.Instance, opts Options) Outcome {
-	out := Eval(dec, in, opts)
-	if out.Err != nil {
-		panic(out.Err)
-	}
-	return out
-}
-
-// MustEvalOblivious is EvalOblivious panicking on any Outcome.Err.
+// MustEvalOblivious is EvalOblivious panicking on any Outcome.Err —
+// validation failures, empty instances and node-level verdict errors alike.
+// For call sites where a failed evaluation is a programming error.
 func MustEvalOblivious(dec Decider, l *graph.Labeled, opts Options) Outcome {
 	out := EvalOblivious(dec, l, opts)
 	if out.Err != nil {
@@ -377,9 +360,6 @@ func newJob(dec Decider, l *graph.Labeled, in *graph.Instance, opts Options) (*j
 	if opts.MaxAttempts < 0 {
 		return nil, fmt.Errorf("engine: negative MaxAttempts %d", opts.MaxAttempts)
 	}
-	if opts.CacheBytes < 0 {
-		return nil, fmt.Errorf("engine: negative CacheBytes %d", opts.CacheBytes)
-	}
 	if opts.Scheduler == nil {
 		opts.Scheduler = Sequential
 	}
@@ -414,17 +394,15 @@ func newJob(dec Decider, l *graph.Labeled, in *graph.Instance, opts Options) (*j
 }
 
 // newCache resolves the verdict cache of an identifier-free evaluation:
-// Options.Cache when set (shared), else a private bounded or unbounded one
-// when Options.Dedup asks for it. Dedup (and hence any cache use) is sound
-// only for deterministic deciders, so randomized ones get none.
+// Options.Cache when set (shared), else a private one when Options.Dedup
+// asks for it. Dedup (and hence any cache use) is sound only for
+// deterministic deciders, so randomized ones get none.
 func newCache(dec Decider, opts Options) (cache *ViewCache, shared bool) {
 	switch {
 	case dec.DecideRand != nil || !opts.Dedup && opts.Cache == nil:
 		return nil, false
 	case opts.Cache != nil:
 		return opts.Cache, true
-	case opts.CacheBytes > 0:
-		return NewBoundedViewCache(opts.CacheBytes), false
 	}
 	return NewViewCache(), false
 }

@@ -182,7 +182,7 @@ func TestRandomizedSeedDeterminism(t *testing.T) {
 }
 
 // Malformed deciders come back as Outcome.Err, not a panic; the panicking
-// behaviour survives only in MustEvalOblivious/MustEval.
+// behaviour survives only in the Must* wrappers (MustEvalOblivious).
 func TestDeciderValidation(t *testing.T) {
 	l := graph.UniformlyLabeled(graph.Path(3), "")
 	for _, dec := range []Decider{

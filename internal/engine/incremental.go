@@ -94,8 +94,6 @@ type Incremental struct {
 	// mismatch at the next update means the host was mutated behind the
 	// session's back.
 	gen uint64
-
-	updates int
 }
 
 // NewIncremental opens a session on l, runs the initial full evaluation with
@@ -168,7 +166,6 @@ func (inc *Incremental) ApplyEdge(u, v int, add bool) int {
 	inc.collectOp(u, v, add)
 	inc.gen = inc.l.G.Generation()
 	inc.repair()
-	inc.updates++
 	return len(inc.dirty)
 }
 
@@ -184,7 +181,6 @@ func (inc *Incremental) ApplyUpdates(ops []EdgeOp) int {
 	}
 	inc.gen = inc.l.G.Generation()
 	inc.repair()
-	inc.updates += len(ops)
 	return len(inc.dirty)
 }
 
@@ -196,7 +192,6 @@ func (inc *Incremental) ApplyLabel(v int, lab graph.Label) int {
 	inc.beginDirty()
 	inc.collectBall(v)
 	inc.repair()
-	inc.updates++
 	return len(inc.dirty)
 }
 
@@ -212,7 +207,6 @@ func (inc *Incremental) InvalidateLabels(nodes []int) int {
 		inc.collectBall(v)
 	}
 	inc.repair()
-	inc.updates++
 	return len(inc.dirty)
 }
 
@@ -247,10 +241,6 @@ func (inc *Incremental) Verdicts() []Verdict { return inc.verdicts }
 // balls the update touched and that were therefore re-decided. The slice is
 // session-owned scratch, valid until the next Apply call.
 func (inc *Incremental) LastDirty() []int { return inc.dirty }
-
-// Updates returns the number of Apply calls processed (ApplyUpdates counts
-// each op).
-func (inc *Incremental) Updates() int { return inc.updates }
 
 // Stats returns the session's cumulative cost accounting: decider
 // invocations, cache hits and crash/retry counts summed over the initial

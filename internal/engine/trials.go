@@ -186,10 +186,10 @@ type TrialStats struct {
 }
 
 // ValidateTrials reports an error unless the trial count is positive. It is
-// the shared validation of every trial entry point (engine.EvalTrials,
-// local.EstimateAcceptance, halting.EstimateRejection), keeping the message
-// consistent across layers. It used to panic; library paths now degrade
-// gracefully and only the Must* wrappers re-panic.
+// the shared validation of every trial entry point (engine.EvalTrials and,
+// through it, local.EstimateAcceptance and halting.RejectionTrials), keeping
+// the message consistent across layers. It used to panic; library paths now
+// degrade gracefully and only the Must* wrappers re-panic.
 func ValidateTrials(trials int) error {
 	if trials < 1 {
 		return fmt.Errorf("engine: trials must be positive, got %d", trials)

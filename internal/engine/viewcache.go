@@ -24,12 +24,14 @@ import (
 // with a single critical section per lookup-or-insert (the fix for the
 // seed-era double lock acquisition per miss).
 //
-// A cache built with NewBoundedViewCache additionally carries a byte budget:
-// every entry is byte-accounted (code bytes + decider name + a fixed
-// per-entry overhead) and a per-shard CLOCK sweep evicts cold entries to
-// admit new ones, so a resident service can keep one cache alive for weeks
-// without unbounded growth. Eviction is an accelerator decision, never a
-// soundness one — an evicted verdict is recomputed on the next miss.
+// Every cache has one layout and one admission rule. It carries a byte
+// budget — the one handed to NewBoundedViewCache, or 1 GiB for
+// NewViewCache — and keeps each shard's entries in a slot arena. Every
+// entry is byte-accounted (code bytes + decider name + a fixed per-entry
+// overhead) and a per-shard CLOCK sweep evicts cold entries to admit new
+// ones, so a resident service can keep one cache alive for weeks without
+// unbounded growth. Eviction is an accelerator decision, never a soundness
+// one — an evicted verdict is recomputed on the next miss.
 //
 // Soundness: sharing a verdict across evaluations assumes (a) the decider is
 // a deterministic function of the view's isomorphism class — the LOCAL
@@ -41,11 +43,7 @@ import (
 type ViewCache struct {
 	shards [cacheShardCount]cacheShard
 
-	// bounded/capShard carry the byte budget: capShard is the per-shard
-	// slice of the total capacity handed to NewBoundedViewCache. An
-	// unbounded cache (NewViewCache) keeps the historical per-shard entry
-	// cap instead.
-	bounded  bool
+	// capShard is each shard's slice of the total byte budget.
 	capShard int64
 
 	// persist, when set, is invoked after each canonical-layer insert —
@@ -114,7 +112,7 @@ type CacheStats struct {
 	// Each reject degrades to a miss, never to a wrong verdict.
 	Rejects int64
 	// Evictions counts entries (canonical and raw) evicted by the byte-
-	// capacity CLOCK of a bounded cache. Always 0 for unbounded caches.
+	// capacity CLOCK.
 	Evictions int64
 	// Entries is the cache's canonical-verdict entry count (Len).
 	Entries int
@@ -123,11 +121,10 @@ type CacheStats struct {
 	RawEntries int
 	// Bytes is the accounted size of all live entries across both layers:
 	// per entry its code bytes, its decider name and a fixed charge for
-	// the bounded layout's arena slot, map slot and index slice. It is
-	// what a bounded cache charges against Capacity; an unbounded cache,
-	// which admits by entry count, reports the same estimate.
+	// its arena slot, map slot and index slice. It is what the cache
+	// charges against Capacity.
 	Bytes int64
-	// Capacity is the cache's total byte budget; 0 means unbounded.
+	// Capacity is the cache's total byte budget.
 	Capacity int64
 }
 
@@ -142,9 +139,7 @@ func (c *ViewCache) Stats() CacheStats {
 		Loaded:    c.loaded.Load(),
 		Rejects:   c.rejects.Load(),
 		Evictions: c.evictions.Load(),
-	}
-	if c.bounded {
-		st.Capacity = c.capShard * cacheShardCount
+		Capacity:  c.capShard * cacheShardCount,
 	}
 	for i := range c.shards {
 		s := &c.shards[i]
@@ -161,15 +156,14 @@ func (c *ViewCache) Stats() CacheStats {
 // keep worker collisions rare at any plausible GOMAXPROCS.
 const cacheShardCount = 64
 
-// cacheShardMaxEntries bounds each shard of an UNBOUNDED cache. A full shard
-// serves hits but declines inserts (callers decide directly) — the cache
-// silently degrades rather than growing without bound across long sweeps.
-// Bounded caches replace this entry cap with the byte-accounted CLOCK.
-const cacheShardMaxEntries = 1 << 15
+// defaultCacheBytes is NewViewCache's budget: room for 2^15 entries per
+// shard and layer (2 layers × 64 shards) at the minimum charge of 256 B per
+// entry. No workload that builds a NewViewCache comes near it.
+const defaultCacheBytes = 1 << 30
 
 // entryOverheadBytes is the fixed accounting charge per cache entry on top
-// of its variable bytes (code + decider name): what a bounded entry really
-// costs in live heap besides its code bytes, derived from the layout:
+// of its variable bytes (code + decider name): what an entry really costs
+// in live heap besides its code bytes, derived from the layout:
 //
 //   - two arena slots of one cacheEntry (80 B each): the arena grows by
 //     doubling, so right after a growth it holds two slots per entry;
@@ -193,26 +187,21 @@ const cacheShardMaxEntries = 1 << 15
 const entryOverheadBytes = int64(2*unsafe.Sizeof(cacheEntry{}) +
 	(unsafe.Sizeof(cacheKey{})+unsafe.Sizeof([]int32(nil)))*8/7 + 8 + 15)
 
-// cacheShard is one lock stripe. The two maps are the two storage layouts —
-// exactly one is non-nil, fixed at construction. Unbounded caches (the
-// engine's default Dedup path) store entries inline in mi: the lean layout
-// with no indirection on the hot lookup. Bounded caches store slot indices
-// in m over the slots arena: the arena gives the CLOCK eviction sweep a flat
-// iteration target (map iteration order is neither stable nor resumable) and
-// recycles slots through a free list so steady-state eviction allocates
-// nothing.
+// cacheShard is one lock stripe. The map m holds, per key, the indices of
+// its entries in the slots arena: the arena gives the CLOCK eviction sweep a
+// flat iteration target (map iteration order is neither stable nor
+// resumable) and recycles slots through a free list so steady-state
+// eviction allocates nothing.
 type cacheShard struct {
 	mu    sync.Mutex
-	mi    map[cacheKey][]cacheEntry // unbounded layout: entries inline
-	m     map[cacheKey][]int32      // bounded layout: indices into slots
+	m     map[cacheKey][]int32 // indices into slots
 	slots []cacheEntry
 	free  []int32
 	hand  int   // CLOCK hand: next slot the eviction sweep examines
 	bytes int64 // accounted bytes of all live entries
 	// entries counts live canonical entries; rawEntries counts first-level
-	// raw-structure entries, capped separately in unbounded mode so the
-	// raw layer can never crowd out canonical verdicts (or vice versa).
-	// Raw entries are an accelerator: not reported by Len.
+	// raw-structure entries. Both layers share the shard's byte budget and
+	// its CLOCK. Raw entries are an accelerator: not reported by Len.
 	entries    int
 	rawEntries int
 }
@@ -230,12 +219,11 @@ type cacheKey struct {
 	raw     bool
 }
 
-// cacheEntry is one cached verdict — stored inline in mi (unbounded) or as
-// a slot of the shard's arena (bounded). key/live/ref are arena-only and
-// stay zero inline: live distinguishes occupied slots from free-listed
-// ones; ref is the CLOCK reference bit, set on every hit and cleared by the
-// sweep, so an entry survives one full hand rotation after its last hit
-// before becoming an eviction candidate.
+// cacheEntry is one cached verdict, a slot of its shard's arena. live
+// distinguishes occupied slots from free-listed ones; ref is the CLOCK
+// reference bit, set on every hit and cleared by the sweep, so an entry
+// survives one full hand rotation after its last hit before becoming an
+// eviction candidate.
 type cacheEntry struct {
 	key     cacheKey
 	code    []byte // full code bytes (canonical or raw): collision verification
@@ -250,30 +238,22 @@ func entryBytes(key cacheKey, code []byte) int64 {
 	return int64(len(code)) + int64(len(key.decider)) + entryOverheadBytes
 }
 
-// NewViewCache returns an empty unbounded cache ready for concurrent use
-// (per-shard entry count still capped, as always, so it cannot grow without
-// limit — but nothing is ever evicted). Unbounded shards store entries
-// inline in the map — the lean layout the default Dedup path has always
-// had; only bounded caches pay for the slot arena the CLOCK sweep needs.
-func NewViewCache() *ViewCache {
-	c := &ViewCache{}
-	for i := range c.shards {
-		c.shards[i].mi = make(map[cacheKey][]cacheEntry)
-	}
-	return c
-}
+// NewViewCache returns an empty cache ready for concurrent use, under the
+// default budget of defaultCacheBytes (1 GiB): NewBoundedViewCache for
+// callers that have no budget of their own to set.
+func NewViewCache() *ViewCache { return NewBoundedViewCache(defaultCacheBytes) }
 
 // NewBoundedViewCache returns an empty cache with a total byte budget:
 // entries are byte-accounted and a per-shard CLOCK sweep evicts cold entries
 // once the budget is reached, so the accounted size never exceeds capBytes.
 // The budget is split evenly across the 64 shards; a capBytes smaller than
 // 64 × one entry's footprint admits nothing (correct, if useless). A
-// capBytes <= 0 panics — use NewViewCache for an unbounded cache.
+// capBytes <= 0 panics — use NewViewCache for the default budget.
 func NewBoundedViewCache(capBytes int64) *ViewCache {
 	if capBytes <= 0 {
 		panic("engine: NewBoundedViewCache needs a positive byte capacity")
 	}
-	c := &ViewCache{bounded: true, capShard: capBytes / cacheShardCount}
+	c := &ViewCache{capShard: capBytes / cacheShardCount}
 	for i := range c.shards {
 		c.shards[i].m = make(map[cacheKey][]int32)
 	}
@@ -301,12 +281,9 @@ func (c *ViewCache) shardFor(fp uint64) *cacheShard {
 // findVerified scans the key's entries for an exact byte match, evicting any
 // entry whose stored bytes no longer hash to their recorded sum (the
 // integrity guard: a corrupted entry becomes a counted reject and a
-// recompute, never a poisoned verdict). In the bounded layout a match sets
-// the CLOCK reference bit. Callers hold the shard lock.
+// recompute, never a poisoned verdict). A match sets the CLOCK reference
+// bit. Callers hold the shard lock.
 func (c *ViewCache) findVerified(s *cacheShard, key cacheKey, code []byte) (Verdict, bool) {
-	if !c.bounded {
-		return c.findVerifiedInline(s, key, code)
-	}
 	idxs := s.m[key]
 	for i := 0; i < len(idxs); {
 		e := &s.slots[idxs[i]]
@@ -323,45 +300,6 @@ func (c *ViewCache) findVerified(s *cacheShard, key cacheKey, code []byte) (Verd
 		i++
 	}
 	return No, false
-}
-
-// findVerifiedInline is findVerified over the unbounded inline layout:
-// corrupt entries are swap-deleted from the map slice directly, and the
-// slice is written back only when something was culled — the hit path
-// touches the map once.
-func (c *ViewCache) findVerifiedInline(s *cacheShard, key cacheKey, code []byte) (Verdict, bool) {
-	entries := s.mi[key]
-	verdict, found := No, false
-	culled := false
-	for i := 0; i < len(entries); {
-		e := &entries[i]
-		if graph.Fingerprint(e.code) != e.sum {
-			s.bytes -= entryBytes(key, e.code)
-			if key.raw {
-				s.rawEntries--
-			} else {
-				s.entries--
-			}
-			entries[i] = entries[len(entries)-1]
-			entries = entries[:len(entries)-1]
-			culled = true
-			c.rejects.Add(1)
-			continue
-		}
-		if bytes.Equal(e.code, code) {
-			verdict, found = e.verdict, true
-			break
-		}
-		i++
-	}
-	if culled {
-		if len(entries) == 0 {
-			delete(s.mi, key)
-		} else {
-			s.mi[key] = entries
-		}
-	}
-	return verdict, found
 }
 
 // dropAt removes the entry at position pos of key's index slice, releasing
@@ -402,15 +340,9 @@ func (c *ViewCache) evictSlot(s *cacheShard, slot int32) {
 }
 
 // makeRoom decides whether an entry of the given size may be inserted,
-// evicting via the CLOCK sweep when the cache is bounded. Unbounded caches
-// keep the historical per-shard entry cap. Callers hold the shard lock.
-func (c *ViewCache) makeRoom(s *cacheShard, key cacheKey, need int64) bool {
-	if !c.bounded {
-		if key.raw {
-			return s.rawEntries < cacheShardMaxEntries
-		}
-		return s.entries < cacheShardMaxEntries
-	}
+// evicting via the CLOCK sweep until it fits the shard's budget. Callers
+// hold the shard lock.
+func (c *ViewCache) makeRoom(s *cacheShard, need int64) bool {
 	if need > c.capShard {
 		return false // larger than a whole shard's budget: decide directly
 	}
@@ -445,40 +377,33 @@ func (c *ViewCache) makeRoom(s *cacheShard, key cacheKey, need int64) bool {
 // storeEntry inserts an owned entry, assuming makeRoom approved it. Callers
 // hold the shard lock.
 func (c *ViewCache) storeEntry(s *cacheShard, key cacheKey, owned []byte, verdict Verdict) {
-	if !c.bounded {
-		s.mi[key] = append(s.mi[key], cacheEntry{
-			code:    owned,
-			sum:     graph.Fingerprint(owned),
-			verdict: verdict,
-		})
+	var slot int32
+	if n := len(s.free); n > 0 {
+		slot = s.free[n-1]
+		s.free = s.free[:n-1]
 	} else {
-		var slot int32
-		if n := len(s.free); n > 0 {
-			slot = s.free[n-1]
-			s.free = s.free[:n-1]
-		} else {
-			if len(s.slots) == cap(s.slots) {
-				// Grow the arena in explicit steps (min 32 slots) rather than
-				// through append's 1→2→4→… chain: entries carry pointers, and
-				// re-copying them at every doubling costs write barriers and
-				// GC scan work on exactly the cold-sweep path the miss
-				// benchmark gates.
-				grown := make([]cacheEntry, len(s.slots), max(32, 2*cap(s.slots)))
-				copy(grown, s.slots)
-				s.slots = grown
-			}
-			s.slots = append(s.slots, cacheEntry{})
-			slot = int32(len(s.slots) - 1)
+		if len(s.slots) == cap(s.slots) {
+			// Grow the arena by doubling from 4 slots. append would grow a
+			// large arena by 1.25x, re-copying entries (which carry pointers:
+			// write barriers and GC scan work) more often on the cold-sweep
+			// path the miss benchmark gates. A small first step keeps a
+			// cache with a few entries per shard small; the engine builds a
+			// private one for every Dedup evaluation without a Cache.
+			grown := make([]cacheEntry, len(s.slots), max(4, 2*cap(s.slots)))
+			copy(grown, s.slots)
+			s.slots = grown
 		}
-		s.slots[slot] = cacheEntry{
-			key:     key,
-			code:    owned,
-			sum:     graph.Fingerprint(owned),
-			verdict: verdict,
-			live:    true,
-		}
-		s.m[key] = append(s.m[key], slot)
+		s.slots = append(s.slots, cacheEntry{})
+		slot = int32(len(s.slots) - 1)
 	}
+	s.slots[slot] = cacheEntry{
+		key:     key,
+		code:    owned,
+		sum:     graph.Fingerprint(owned),
+		verdict: verdict,
+		live:    true,
+	}
+	s.m[key] = append(s.m[key], slot)
 	s.bytes += entryBytes(key, owned)
 	if key.raw {
 		s.rawEntries++
@@ -491,14 +416,14 @@ func (c *ViewCache) storeEntry(s *cacheShard, key cacheKey, owned []byte, verdic
 // loading it through the load hook or else computing it, and inserting it,
 // on a miss. computed reports whether this call ran compute; stored whether
 // the computed result entered the cache (false when the shard declines the
-// insert — entry cap in unbounded mode, an entry larger than the shard
-// budget in bounded mode — and for a loaded verdict, which was decided
-// before). The whole lookup-or-insert is one critical section on the code's
-// shard: on a miss the load hook and the decider run under the shard lock,
-// which serialises same-shard misses but removes the second lock acquisition
-// and the duplicated decide the seed-era cache allowed. In the dedup regime
-// misses are rare by construction (that is the regime's point), and the
-// fingerprint striping keeps first-run miss storms spread over the shards.
+// insert — an entry larger than the shard's whole budget — and for a loaded
+// verdict, which was decided before). The whole lookup-or-insert is one
+// critical section on the code's shard: on a miss the load hook and the
+// decider run under the shard lock, which serialises same-shard misses but
+// removes the second lock acquisition and the duplicated decide the
+// seed-era cache allowed. In the dedup regime misses are rare by
+// construction (that is the regime's point), and the fingerprint striping
+// keeps first-run miss storms spread over the shards.
 //
 // code.Bytes is cloned before compute runs: the bytes alias the caller's
 // CodeWorkspace, and a decider that computes further codes (benchmarks and
@@ -516,7 +441,7 @@ func (c *ViewCache) lookupOrCompute(decider string, horizon int, code graph.Code
 	if c.load != nil {
 		if v, ok := c.load(decider, horizon, code.Bytes); ok {
 			owned := append([]byte(nil), code.Bytes...)
-			if c.makeRoom(s, key, entryBytes(key, owned)) {
+			if c.makeRoom(s, entryBytes(key, owned)) {
 				c.storeEntry(s, key, owned, v)
 			}
 			s.mu.Unlock()
@@ -526,7 +451,7 @@ func (c *ViewCache) lookupOrCompute(decider string, horizon int, code graph.Code
 	}
 	c.misses.Add(1)
 	owned := append([]byte(nil), code.Bytes...)
-	if !c.makeRoom(s, key, entryBytes(key, owned)) {
+	if !c.makeRoom(s, entryBytes(key, owned)) {
 		s.mu.Unlock()
 		return compute(), true, false
 	}
@@ -561,29 +486,21 @@ func (c *ViewCache) lookupRaw(decider string, horizon int, raw graph.Code) (Verd
 
 // storeRaw records a verdict under a view's raw-structure key so future
 // byte-identical extractions skip the canonical code entirely. Raw entries
-// obey the same capacity regime as canonical ones (entry cap unbounded,
-// byte-accounted CLOCK bounded); beyond it the raw layer degrades to a
-// pass-through and the canonical layer still serves.
+// share the byte budget and the CLOCK with canonical ones; an entry larger
+// than a shard's budget is not stored, and the canonical layer still
+// serves.
 func (c *ViewCache) storeRaw(decider string, horizon int, raw graph.Code, verdict Verdict) {
 	s := c.shardFor(raw.Fingerprint)
 	key := cacheKey{decider: decider, horizon: horizon, fp: raw.Fingerprint, raw: true}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if c.bounded {
-		for _, ix := range s.m[key] {
-			if bytes.Equal(s.slots[ix].code, raw.Bytes) {
-				return // another worker stored it first
-			}
-		}
-	} else {
-		for i := range s.mi[key] {
-			if bytes.Equal(s.mi[key][i].code, raw.Bytes) {
-				return // another worker stored it first
-			}
+	for _, ix := range s.m[key] {
+		if bytes.Equal(s.slots[ix].code, raw.Bytes) {
+			return // another worker stored it first
 		}
 	}
 	owned := append([]byte(nil), raw.Bytes...)
-	if !c.makeRoom(s, key, entryBytes(key, owned)) {
+	if !c.makeRoom(s, entryBytes(key, owned)) {
 		return
 	}
 	c.storeEntry(s, key, owned, verdict)

@@ -304,6 +304,22 @@ func TestBoundedCacheHitRateRetention(t *testing.T) {
 	}
 }
 
+// TestViewCacheDefaultBudget: NewViewCache is a byte-budgeted cache like
+// any other, under the 1 GiB default, and the periodic-cycle family's
+// working set lives in it without a single eviction.
+func TestViewCacheDefaultBudget(t *testing.T) {
+	c := NewViewCache()
+	if got := c.Stats().Capacity; got != 1<<30 {
+		t.Fatalf("NewViewCache capacity %d, want %d", got, int64(1<<30))
+	}
+	if rate := sweepHitRate(t, c, 10); rate == 0 {
+		t.Fatal("default cache served no hits; workload broken")
+	}
+	if st := c.Stats(); st.Evictions != 0 || st.Entries == 0 || st.Bytes > st.Capacity {
+		t.Fatalf("after the periodic-cycle sweep: %+v, want entries within capacity and no evictions", st)
+	}
+}
+
 // boundedHitRateCapBytes sizes the bounded arm of the hit-rate contract: a
 // few hundred KiB — far below what an unbounded cache accumulates across a
 // long service life, comfortably above the periodic family's working set.

@@ -23,8 +23,7 @@ func TestViewCacheIntegrityGuardRejectsCorruption(t *testing.T) {
 	}
 
 	// Corrupt every stored entry's bytes in place (raw and canonical layers
-	// both, inline and arena layouts both), simulating a torn write or stray
-	// memory corruption.
+	// both), simulating a torn write or stray memory corruption.
 	corrupted := 0
 	for i := range cache.shards {
 		s := &cache.shards[i]
@@ -33,14 +32,6 @@ func TestViewCacheIntegrityGuardRejectsCorruption(t *testing.T) {
 			if s.slots[j].live && len(s.slots[j].code) > 0 {
 				s.slots[j].code[0] ^= 0xff
 				corrupted++
-			}
-		}
-		for _, entries := range s.mi {
-			for j := range entries {
-				if len(entries[j].code) > 0 {
-					entries[j].code[0] ^= 0xff
-					corrupted++
-				}
 			}
 		}
 		s.mu.Unlock()

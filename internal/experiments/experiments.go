@@ -18,9 +18,6 @@ type Config struct {
 	Seed int64
 }
 
-// DefaultConfig is the full-size configuration used by cmd/repro.
-func DefaultConfig() Config { return Config{Quick: false, Seed: 42} }
-
 // Result is a rendered experiment outcome.
 type Result struct {
 	ID    string

@@ -128,12 +128,6 @@ func (in *Instance) MaxID() int {
 	return max
 }
 
-// WithIDs returns a new instance over the same labelled graph with different
-// identifiers.
-func (in *Instance) WithIDs(ids []int) *Instance {
-	return NewInstance(in.Labeled, ids)
-}
-
 // String renders a compact description.
 func (in *Instance) String() string {
 	return fmt.Sprintf("Instance(n=%d, m=%d, maxID=%d)", in.N(), in.G.M(), in.MaxID())

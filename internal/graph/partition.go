@@ -131,9 +131,6 @@ func (pt *Partition) assignBFSBlocked(n int) {
 	}
 }
 
-// Host returns the partitioned graph.
-func (pt *Partition) Host() *Graph { return pt.g }
-
 // Shards returns the shard count p.
 func (pt *Partition) Shards() int { return pt.p }
 

@@ -440,17 +440,6 @@ func (p Params) RejectionTrials(asm *Assembly, opts engine.TrialOptions) (engine
 	return engine.EvalTrials(p.TrialDecider(), asm.Labeled, opts)
 }
 
-// EstimateRejection estimates the probability that the Corollary 1 decider
-// rejects the given assembly, over `trials` independent coin sequences —
-// the fixed-trial-count wrapper over RejectionTrials.
-func (p Params) EstimateRejection(asm *Assembly, trials int, seed int64) (float64, error) {
-	stats, err := p.RejectionTrials(asm, engine.TrialOptions{Trials: trials, Seed: seed})
-	if err != nil {
-		return 0, err
-	}
-	return 1 - stats.Estimate, nil
-}
-
 // Separation algorithm ---------------------------------------------------------
 
 // CandidateOblivious is a candidate Id-oblivious decider handed to the

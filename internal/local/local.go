@@ -4,11 +4,12 @@
 // itself — batched view extraction, scheduling, deduplication, aggregation —
 // lives in internal/engine; this package defines the algorithm interfaces of
 // the paper's model and adapts them onto the engine. The entry points Run,
-// RunOblivious, RunRandomized, RunParallel, RunObliviousParallel and
-// RunMessagePassingOblivious are thin wrappers selecting an engine
-// scheduler; EngineDecider and its siblings adapt an algorithm for calling
-// the engine directly (an ID-using algorithm reaches the message-passing
-// runtime that way).
+// RunOblivious and RunMessagePassingOblivious are thin wrappers selecting an
+// engine scheduler, and EstimateAcceptance and AcceptanceTrials run a
+// randomized algorithm's Monte Carlo trials; EngineDecider and its siblings
+// adapt an algorithm for calling the engine directly (on another scheduler,
+// with a coin seed, or an ID-using algorithm on the message-passing
+// runtime).
 package local
 
 import (
@@ -96,14 +97,6 @@ func Run(alg Algorithm, in *graph.Instance) Outcome {
 // labelled graph. No identifiers are involved at any point.
 func RunOblivious(alg ObliviousAlgorithm, l *graph.Labeled) Outcome {
 	return engine.EvalOblivious(EngineObliviousDecider(alg), l, engine.Options{Scheduler: engine.Sequential})
-}
-
-// RunRandomized evaluates a randomized Id-oblivious algorithm once, deriving
-// each node's coin stream deterministically from seed and the node index
-// (independent streams across nodes).
-func RunRandomized(alg RandomizedAlgorithm, l *graph.Labeled, seed int64) Outcome {
-	return engine.EvalOblivious(EngineRandomizedDecider(alg), l,
-		engine.Options{Scheduler: engine.Sequential, Seed: seed})
 }
 
 // EngineTrialDecider adapts a randomized algorithm to the trial engine's

@@ -95,8 +95,12 @@ func TestRunRandomizedDeterministicPerSeed(t *testing.T) {
 		return Verdict(rng.Intn(2) == 0)
 	})
 	l := graph.UniformlyLabeled(graph.Cycle(9), "")
-	a := RunRandomized(alg, l, 42)
-	b := RunRandomized(alg, l, 42)
+	run := func(seed int64) Outcome {
+		return engine.EvalOblivious(EngineRandomizedDecider(alg), l,
+			engine.Options{Scheduler: engine.Sequential, Seed: seed})
+	}
+	a := run(42)
+	b := run(42)
 	for v := range a.Verdicts {
 		if a.Verdicts[v] != b.Verdicts[v] {
 			t.Fatal("same seed should reproduce verdicts")
@@ -107,7 +111,7 @@ func TestRunRandomizedDeterministicPerSeed(t *testing.T) {
 	// seeing both values somewhere is overwhelming.
 	diverse := false
 	for s := int64(0); s < 20 && !diverse; s++ {
-		out := RunRandomized(alg, l, s)
+		out := run(s)
 		yes, no := 0, 0
 		for _, v := range out.Verdicts {
 			if v == Yes {

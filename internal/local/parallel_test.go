@@ -10,6 +10,8 @@ import (
 	"repro/internal/ids"
 )
 
+// The engine's sharded worker pool evaluates an adapted ID-using algorithm
+// exactly as Run does.
 func TestRunParallelMatchesSequential(t *testing.T) {
 	alg := viewCodeAlgorithm(2)
 	for _, n := range []int{1, 7, 40} {
@@ -17,7 +19,7 @@ func TestRunParallelMatchesSequential(t *testing.T) {
 		l := graph.RandomLabels(g, []graph.Label{"a", "b"}, int64(n)+1)
 		in := graph.NewInstance(l, ids.Sequential(n))
 		seq := Run(alg, in)
-		par := RunParallel(alg, in)
+		par := engine.Eval(EngineDecider(alg), in, engine.Options{Scheduler: engine.Sharded})
 		for v := range seq.Verdicts {
 			if seq.Verdicts[v] != par.Verdicts[v] {
 				t.Fatalf("n=%d node %d: parallel diverges", n, v)
@@ -29,6 +31,7 @@ func TestRunParallelMatchesSequential(t *testing.T) {
 	}
 }
 
+// The same for an adapted Id-oblivious algorithm against RunOblivious.
 func TestRunObliviousParallelMatchesSequential(t *testing.T) {
 	alg := ObliviousFunc("deg<=3", 1, func(view *graph.View) Verdict {
 		return Verdict(view.G.Degree(view.Root) <= 3)
@@ -37,7 +40,7 @@ func TestRunObliviousParallelMatchesSequential(t *testing.T) {
 		n := 2 + int(abs(seed)%30)
 		l := graph.RandomLabels(graph.Random(n, 0.25, seed), []graph.Label{"x", "y"}, seed)
 		a := RunOblivious(alg, l)
-		b := RunObliviousParallel(alg, l)
+		b := engine.EvalOblivious(EngineObliviousDecider(alg), l, engine.Options{Scheduler: engine.Sharded})
 		for v := range a.Verdicts {
 			if a.Verdicts[v] != b.Verdicts[v] {
 				return false
@@ -52,7 +55,8 @@ func TestRunObliviousParallelMatchesSequential(t *testing.T) {
 
 func TestRunParallelEmpty(t *testing.T) {
 	l := graph.UniformlyLabeled(graph.New(0), "")
-	out := RunObliviousParallel(ObliviousFunc("x", 0, func(view *graph.View) Verdict { return Yes }), l)
+	alg := ObliviousFunc("x", 0, func(view *graph.View) Verdict { return Yes })
+	out := engine.EvalOblivious(EngineObliviousDecider(alg), l, engine.Options{Scheduler: engine.Sharded})
 	if out.Accepted || !errors.Is(out.Err, engine.ErrEmptyInstance) {
 		t.Errorf("empty graph: %+v, want ErrEmptyInstance", out)
 	}

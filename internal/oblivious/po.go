@@ -315,11 +315,6 @@ func POViewsAllEqual(l *graph.Labeled, pn *PortNumbering, horizon int) bool {
 	return true
 }
 
-// PortOrder returns the ports of a node as the neighbour indices, for tests.
-func (pn *PortNumbering) PortOrder(v int) []int {
-	return append([]int(nil), pn.ports[v]...)
-}
-
 // Degree returns the number of ports at v.
 func (pn *PortNumbering) Degree(v int) int { return len(pn.ports[v]) }
 
