@@ -103,11 +103,11 @@ func BenchmarkStoreWriteBehind(b *testing.B) {
 // "overhead" metric. The median is the right statistic for the bound: a real
 // persist-hook cost would inflate most pairs and shift it, while a noise
 // spike landing on either arm of a few pairs cannot. CI gates overhead
-// ≤ 1.05 (benchgate -metric overhead -max-value): once the cache is warm the
-// persist hook never fires, so the store must cost the eval hot path nothing
-// beyond noise. The split two-arm wall-clock benchmark above is for
-// tracking; ratios of independently-timed arms are too noisy on shared
-// runners to gate at 5%.
+// ≤ 1.05 (the BenchmarkStoreSteadyOverhead row of scripts/benchgate): once
+// the cache is warm the persist hook never fires, so the store must cost the
+// eval hot path nothing beyond noise. The split two-arm wall-clock benchmark
+// above is for tracking; ratios of independently-timed arms are too noisy on
+// shared runners to gate at 5%.
 func BenchmarkStoreSteadyOverhead(b *testing.B) {
 	host := graph.RandomLabels(graph.Cycle(512), []graph.Label{"a", "b"}, 23)
 	dec := benchDecider()

@@ -118,7 +118,6 @@ func run(args []string) error {
 	backend := fs.String("backend", "sequential", "sequential | sharded | mp")
 	shards := fs.Int("shards", 0, "run the sharded halo-exchange runtime with this many shards (0 = off; level-contiguous partitioning for pyramid/tree, BFS-blocked otherwise)")
 	dedup := fs.Bool("dedup", false, "decide each distinct canonical view once")
-	useMP := fs.Bool("mp", false, "shorthand for -backend mp")
 	runs := fs.Int("runs", 1, "repeat the evaluation this many times")
 	useCache := fs.Bool("cache", false, "share a cross-run verdict cache between runs (implies -dedup)")
 	summary := fs.Bool("summary", false, "suppress per-node verdict lines (use for large instances)")
@@ -134,12 +133,6 @@ func run(args []string) error {
 	memprofile := fs.String("memprofile", "", "write a post-GC heap profile to this file (go tool pprof)")
 	if err := fs.Parse(args); err != nil {
 		return err
-	}
-	if *useMP {
-		if *backend != "sequential" && *backend != "mp" && *backend != "message-passing" {
-			return fmt.Errorf("conflicting flags: -mp and -backend %s", *backend)
-		}
-		*backend = "mp"
 	}
 	if err := validateFlags(fs.NArg(), *graphKind, *n, *deciderName, *backend, *shards, *runs,
 		*trials, *confidence, *threshold, *faults, *faultRate, *dynamic); err != nil {
@@ -303,7 +296,7 @@ func validateFlags(nArgs int, graphKind string, n int, decider, backend string,
 		}
 	}
 	switch backend {
-	case "sequential", "sharded", "mp", "message-passing":
+	case "sequential", "sharded", "mp":
 	default:
 		return fmt.Errorf("unknown backend %q (sequential | sharded | mp)", backend)
 	}
@@ -513,7 +506,7 @@ func runFaulty(mode string, l *graph.Labeled, alg local.ObliviousAlgorithm, grap
 			// extraction.
 			opts = engine.Options{Scheduler: engine.ShardedMPPartitioned(shards, partitionStrategyFor(graphKind)), Faults: plan}
 		} else {
-			if backend != "sequential" && backend != "mp" && backend != "message-passing" {
+			if backend != "sequential" && backend != "mp" {
 				return fmt.Errorf("-faults messages runs on the message-passing backend, not %q", backend)
 			}
 			opts = engine.Options{Scheduler: engine.MessagePassing, Faults: plan}
@@ -702,7 +695,7 @@ func buildScheduler(name string, shards int, graphKind string) (engine.Scheduler
 		return engine.Sequential, nil
 	case "sharded":
 		return engine.Sharded, nil
-	case "mp", "message-passing":
+	case "mp":
 		return engine.MessagePassing, nil
 	default:
 		return nil, fmt.Errorf("unknown backend %q", name)

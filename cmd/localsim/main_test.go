@@ -13,7 +13,7 @@ func TestLocalsimCombos(t *testing.T) {
 		{"-graph", "star", "-n", "5", "-decider", "degree2"},
 		{"-graph", "grid", "-n", "3", "-decider", "triangle-free"},
 		{"-graph", "tree", "-n", "3", "-decider", "degree2"},
-		{"-graph", "cycle", "-n", "6", "-decider", "3col", "-mp"},
+		{"-graph", "cycle", "-n", "6", "-decider", "3col", "-backend", "mp"},
 		{"-graph", "cycle", "-n", "50", "-decider", "degree2", "-runs", "3", "-cache"},
 		{"-graph", "grid", "-n", "8", "-decider", "triangle-free", "-backend", "sharded", "-runs", "2", "-cache"},
 		{"-graph", "pyramid", "-n", "2", "-decider", "triangle-free"},
@@ -84,7 +84,6 @@ func TestLocalsimUpFrontValidation(t *testing.T) {
 		{"-faults", "flip", "-fault-rate", "0"},
 		{"-faults", "flip", "-fault-rate", "1.5"},
 		{"-faults", "crash", "-fault-rate", "-0.1"},
-		{"-mp", "-backend", "sharded"},
 		{"-graph", "mystery", "-cpuprofile", "/nonexistent-dir/should-not-be-created"},
 		{"-dynamic", "-3"},
 		{"-dynamic", "5", "-decider", "coin", "-trials", "10"},
@@ -93,7 +92,6 @@ func TestLocalsimUpFrontValidation(t *testing.T) {
 		{"-dynamic", "5", "-decider", "coin"},
 		{"-shards", "-1"},
 		{"-shards", "4", "-backend", "sharded"},
-		{"-shards", "4", "-mp"},
 		{"-decider", "coin", "-trials", "10", "-shards", "4"},
 		{"-faults", "flip", "-trials", "3", "-shards", "4", "-incremental"},
 	}

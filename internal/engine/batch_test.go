@@ -27,7 +27,7 @@ func TestEvalBatchParity(t *testing.T) {
 				}
 			}
 			var instances []*graph.Instance
-			if dec.UsesIDs {
+			if idDeciders[name] {
 				instances = make([]*graph.Instance, len(hosts))
 				for i, l := range hosts {
 					instances[i] = graph.NewInstance(l, idsFor(l.N(), seed+int64(i)))

@@ -6,9 +6,9 @@ import "testing"
 // periodic-cycle family sweep (the same workload as
 // TestBoundedCacheHitRateRetention) on an unbounded cache versus a bounded
 // cache sized at boundedHitRateCapBytes, reporting each arm's rate as a
-// "hitrate" metric. CI gates bounded/unbounded ≥ 0.95 via benchgate
-// -metric hitrate -min-ratio 0.95 — eviction may cost capacity, not the
-// steady-state regime.
+// "hitrate" metric. CI gates bounded/unbounded ≥ 0.95 (the
+// BenchmarkBoundedCacheHitRate row of scripts/benchgate) — eviction may
+// cost capacity, not the steady-state regime.
 func BenchmarkBoundedCacheHitRate(b *testing.B) {
 	b.Run("unbounded", func(b *testing.B) {
 		var rate float64

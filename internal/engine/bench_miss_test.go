@@ -24,9 +24,10 @@ import (
 //	replica — the BENCH_5-era miss path, frozen below: the same extraction,
 //	          raw-key and cache protocol, but canonical codes computed by the
 //	          PR5 generic pipeline (per-round comparison sorts, per-node
-//	          slices.Sort of neighbour colours, int-typed SoA). CI benchgates
-//	          engine ≥3× replica on the cycle family and engine ≤0.6×
-//	          replica on the grid family, whose views take the generic tier.
+//	          slices.Sort of neighbour colours, int-typed SoA). The
+//	          scripts/benchgate rows gate engine ≥3× replica on the cycle
+//	          family and engine ≤0.6× replica on the grid family, whose
+//	          views take the generic tier.
 //
 // The replica is a faithful port of internal/graph/code.go as of BENCH_5
 // (git ae9f8a1) onto the public Graph API; it exists only as a measurement

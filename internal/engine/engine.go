@@ -65,10 +65,6 @@ type Decider struct {
 	Name string
 	// Horizon is the constant local horizon t.
 	Horizon int
-	// UsesIDs documents that the decider reads view.IDs. It is advisory —
-	// identifiers are present on a view iff the evaluation carries them —
-	// but lets call sites state intent.
-	UsesIDs bool
 	// Decide maps a view to a verdict. Deciders must be deterministic
 	// functions of the view (up to isomorphism of the view's internal
 	// numbering, per the LOCAL model).
@@ -309,17 +305,6 @@ func EvalOblivious(dec Decider, l *graph.Labeled, opts Options) Outcome {
 		return Outcome{Accepted: false, Err: err}
 	}
 	return j.run()
-}
-
-// MustEvalOblivious is EvalOblivious panicking on any Outcome.Err —
-// validation failures, empty instances and node-level verdict errors alike.
-// For call sites where a failed evaluation is a programming error.
-func MustEvalOblivious(dec Decider, l *graph.Labeled, opts Options) Outcome {
-	out := EvalOblivious(dec, l, opts)
-	if out.Err != nil {
-		panic(out.Err)
-	}
-	return out
 }
 
 // job is one evaluation in flight: the resolved inputs plus the output

@@ -106,7 +106,7 @@ func TestDedupSkippedWhenUnsound(t *testing.T) {
 	l := graph.UniformlyLabeled(graph.Cycle(8), "c")
 	ids := []int{3, 1, 4, 15, 9, 2, 6, 5}
 	var calls atomic.Int64
-	dec := Decider{Name: "count", Horizon: 1, UsesIDs: true, Decide: func(view *graph.View) Verdict {
+	dec := Decider{Name: "count", Horizon: 1, Decide: func(view *graph.View) Verdict {
 		calls.Add(1)
 		return Yes
 	}}
@@ -181,8 +181,7 @@ func TestRandomizedSeedDeterminism(t *testing.T) {
 	}
 }
 
-// Malformed deciders come back as Outcome.Err, not a panic; the panicking
-// behaviour survives only in the Must* wrappers (MustEvalOblivious).
+// Malformed deciders come back as Outcome.Err, not a panic.
 func TestDeciderValidation(t *testing.T) {
 	l := graph.UniformlyLabeled(graph.Path(3), "")
 	for _, dec := range []Decider{
@@ -195,13 +194,5 @@ func TestDeciderValidation(t *testing.T) {
 		if out.Err == nil || out.Accepted {
 			t.Errorf("%s: Outcome = %+v, want validation error", dec.Name, out)
 		}
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("%s: MustEvalOblivious expected panic", dec.Name)
-				}
-			}()
-			MustEvalOblivious(dec, l, Options{})
-		}()
 	}
 }

@@ -12,7 +12,8 @@ import (
 // injected crash from Options.Faults) costs one node's verdict at worst —
 // recorded as a VerdictError on the Outcome — instead of killing the whole
 // process. Fault-free overhead is one nil check plus an open-coded defer per
-// node, gated ≤5% by the CI benchgates.
+// node, gated ≤5% by the BenchmarkDedupMiss/cycle512-r16 and
+// BenchmarkTrialThroughput rows of scripts/benchgate.
 
 // retryBackoffCap bounds the exponential retry backoff: beyond it further
 // attempts wait the capped duration (with jitter) instead of doubling on —

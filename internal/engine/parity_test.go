@@ -66,7 +66,7 @@ func parityDeciders() map[string]Decider {
 	}
 	return map[string]Decider{
 		// Depends on everything an ID-using algorithm can see.
-		"id-viewhash": {Name: "id-viewhash", Horizon: 2, UsesIDs: true,
+		"id-viewhash": {Name: "id-viewhash", Horizon: 2,
 			Decide: func(view *graph.View) Verdict { return Verdict(hashOf(view.Code())%3 != 0) }},
 		// Depends on the oblivious isomorphism class.
 		"obl-viewhash": {Name: "obl-viewhash", Horizon: 2,
@@ -98,6 +98,10 @@ func parityDeciders() map[string]Decider {
 			}},
 	}
 }
+
+// idDeciders names the battery's deciders that read view.IDs; the suites
+// evaluate them on identifier-carrying instances.
+var idDeciders = map[string]bool{"id-viewhash": true}
 
 // withCerts extends labels with parity certificates, correct on even nodes.
 func withCerts(l *graph.Labeled) *graph.Labeled {
@@ -132,7 +136,7 @@ func TestSchedulerParity(t *testing.T) {
 					l = withCerts(base)
 				}
 				var in *graph.Instance
-				if dec.UsesIDs {
+				if idDeciders[name] {
 					in = graph.NewInstance(l, idsFor(l.N(), seed+9))
 				}
 				want := legacyEval(dec, l, in, seed)
@@ -184,7 +188,7 @@ func TestEarlyExitAcceptanceParity(t *testing.T) {
 					l = withCerts(l)
 				}
 				var in *graph.Instance
-				if dec.UsesIDs {
+				if idDeciders[name] {
 					in = graph.NewInstance(l, idsFor(l.N(), seed+9))
 				}
 				eval := func(opts Options) Outcome {

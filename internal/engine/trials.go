@@ -188,8 +188,7 @@ type TrialStats struct {
 // ValidateTrials reports an error unless the trial count is positive. It is
 // the shared validation of every trial entry point (engine.EvalTrials and,
 // through it, local.EstimateAcceptance and halting.RejectionTrials), keeping
-// the message consistent across layers. It used to panic; library paths now
-// degrade gracefully and only the Must* wrappers re-panic.
+// the message consistent across layers.
 func ValidateTrials(trials int) error {
 	if trials < 1 {
 		return fmt.Errorf("engine: trials must be positive, got %d", trials)
@@ -256,11 +255,10 @@ const defaultMinTrials = 16
 // per-trial verdict sequence are identical for every worker count, and any
 // single trial can be replayed via TrialSeed.
 //
-// Malformed deciders or options are returned as errors (the historical
-// panics live on only in MustEvalTrials). A trial whose decider panics is
-// recovered: the sweep stops, and the statistics of the committed in-order
-// prefix are returned alongside the error — partial data, clearly flagged,
-// instead of a dead process.
+// Malformed deciders or options are returned as errors. A trial whose
+// decider panics is recovered: the sweep stops, and the statistics of the
+// committed in-order prefix are returned alongside the error — partial
+// data, clearly flagged, instead of a dead process.
 func EvalTrials(dec TrialDecider, l *graph.Labeled, opts TrialOptions) (TrialStats, error) {
 	if dec.DecideRand == nil {
 		return TrialStats{}, errors.New("engine: TrialDecider.DecideRand must be set")
@@ -437,16 +435,4 @@ func EvalTrials(dec TrialDecider, l *graph.Labeled, opts TrialOptions) (TrialSta
 	stats.Evaluated = evaluated
 	stats.Verdicts = verdicts[:committed]
 	return stats, sweepErr
-}
-
-// MustEvalTrials is EvalTrials for callers that treat malformed input or a
-// crashing decider as a programming error: it panics on any error and
-// otherwise returns the statistics. The seed-era panicking behaviour lives
-// here; library paths should call EvalTrials and propagate.
-func MustEvalTrials(dec TrialDecider, l *graph.Labeled, opts TrialOptions) TrialStats {
-	stats, err := EvalTrials(dec, l, opts)
-	if err != nil {
-		panic(err)
-	}
-	return stats
 }

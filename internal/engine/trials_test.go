@@ -161,8 +161,7 @@ func TestEvalTrialsEmptyGraph(t *testing.T) {
 	}
 }
 
-// Malformed deciders and options come back as errors with zero stats; the
-// historical panics survive only behind MustEvalTrials.
+// Malformed deciders and options come back as errors with zero stats.
 func TestEvalTrialsValidation(t *testing.T) {
 	l := graph.UniformlyLabeled(graph.Cycle(3), "u")
 	expectErr := func(name string, dec TrialDecider, opts TrialOptions) {
@@ -177,15 +176,6 @@ func TestEvalTrialsValidation(t *testing.T) {
 	expectErr("negative horizon", TrialDecider{Name: "x", Horizon: -1, DecideRand: trialCoin(2)}, TrialOptions{Trials: 1})
 	expectErr("bad confidence", dec, TrialOptions{Trials: 1, Confidence: 1.5})
 	expectErr("bad threshold", dec, TrialOptions{Trials: 1, AdaptiveStop: true, Threshold: 1.5})
-
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("MustEvalTrials: expected panic on invalid options")
-			}
-		}()
-		MustEvalTrials(dec, l, TrialOptions{Trials: 0})
-	}()
 }
 
 // A decider that panics mid-sweep must not kill the process: the sweep stops,

@@ -287,11 +287,10 @@ func sweepHitRate(tb testing.TB, cache *ViewCache, rounds int) float64 {
 	return float64(hits) / float64(hits+misses)
 }
 
-// TestBoundedCacheHitRateRetention is the steady-state guarantee the CI
-// benchgate also pins: on the periodic-cycle family, a bounded cache sized
-// for the working set retains at least 95% of the unbounded cache's hit
-// rate. (The CI gate measures the same contract through
-// BenchmarkBoundedCacheHitRate so regressions show up as artifacts too.)
+// TestBoundedCacheHitRateRetention is the steady-state guarantee that the
+// BenchmarkBoundedCacheHitRate row of scripts/benchgate also pins: on the
+// periodic-cycle family, a bounded cache sized for the working set retains
+// at least 95% of the unbounded cache's hit rate.
 func TestBoundedCacheHitRateRetention(t *testing.T) {
 	unbounded := sweepHitRate(t, NewViewCache(), 10)
 	bounded := sweepHitRate(t, NewBoundedViewCache(boundedHitRateCapBytes), 10)

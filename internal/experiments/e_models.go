@@ -229,7 +229,7 @@ func RunE13(cfg Config) (*Result, error) {
 		Header: []string{"n", "horizon", "identical", "seqTime", "shardTime", "mpTime", "messages", "knowledgeUnits"},
 		OK:     true,
 	}
-	dec := engine.Decider{Name: "hash", Horizon: 2, UsesIDs: true, Decide: func(view *graph.View) engine.Verdict {
+	dec := engine.Decider{Name: "hash", Horizon: 2, Decide: func(view *graph.View) engine.Verdict {
 		sum := 0
 		for _, b := range []byte(view.Code()) {
 			sum += int(b)

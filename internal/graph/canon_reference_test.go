@@ -7,6 +7,11 @@ import (
 	"strings"
 )
 
+// The string-building canonical encoder that code.go replaced, kept as the
+// differential reference the integer pipeline is tested against: equal
+// strings iff label- and root-preserving isomorphic, by an independent
+// implementation of individualisation-refinement.
+
 // canonInput bundles what the canonical-form search needs: structure, the
 // per-node base signature (label text plus root marker, which must survive
 // into the final encoding), and the current colour classes.
@@ -188,17 +193,6 @@ func encodeByColorOrder(g *Graph, base []string, colors []int) string {
 		fmt.Fprintf(&b, "e%v;", nbrs)
 	}
 	return b.String()
-}
-
-// Isomorphic reports whether two labelled graphs are isomorphic respecting
-// labels, via canonical codes (the integer pipeline; see code.go).
-func Isomorphic(a, b *Labeled) bool {
-	if a.N() != b.N() || a.G.M() != b.G.M() {
-		return false
-	}
-	w := NewCodeWorkspace()
-	ca := w.GraphCode(a).Clone()
-	return ca.Equal(w.GraphCode(b))
 }
 
 // RootedIsomorphic reports whether two rooted labelled graphs are isomorphic

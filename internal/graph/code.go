@@ -10,15 +10,15 @@ import (
 )
 
 // This file is the integer canonical-form pipeline: the allocation-free
-// replacement for the string-building individualisation-refinement in
-// canon.go. The legacy string implementation stays as the differential
-// reference (code_test.go pins the two against each other); everything on a
-// hot path — View.CanonCode, the engine's dedup cache, ObliviousViewSet —
-// routes through a reusable CodeWorkspace instead.
+// replacement for a string-building individualisation-refinement, which
+// stays in canon_reference_test.go as the differential reference
+// (code_test.go pins the two against each other). Every caller —
+// View.CanonCode, the engine's dedup cache, ObliviousViewSet, Isomorphic —
+// routes through a reusable CodeWorkspace.
 //
 // The pipeline produces a Code: a full canonical byte encoding (equal iff
-// label- and root-preserving isomorphic, exactly like the legacy string) plus
-// a 64-bit fingerprint of those bytes (fingerprint64, a seedless
+// label- and root-preserving isomorphic, exactly like the reference string)
+// plus a 64-bit fingerprint of those bytes (fingerprint64, a seedless
 // multiply-fold hash that reads 16 bytes per multiply). Caches key on the
 // fingerprint, pick their shard by its low bits, and keep the byte code only
 // to verify the rare fingerprint collision.
@@ -216,18 +216,16 @@ func NewCodeWorkspace() *CodeWorkspace {
 	return &CodeWorkspace{}
 }
 
-// GraphCode returns the canonical code of an unrooted labelled graph — the
-// integer-pipeline equivalent of CanonicalCode. Unrooted codes always run
-// the generic search: the shape fast paths exploit the root as a fixed
-// anchor.
+// GraphCode returns the canonical code of an unrooted labelled graph.
+// Unrooted codes always run the generic search: the shape fast paths exploit
+// the root as a fixed anchor.
 func (w *CodeWorkspace) GraphCode(l *Labeled) Code {
 	return w.code(l, -1)
 }
 
-// RootedCode returns the canonical code of a rooted labelled graph — the
-// integer-pipeline equivalent of RootedCanonicalCode. The returned Code's
-// bytes alias workspace memory and are valid until the workspace's next use;
-// Clone them to retain.
+// RootedCode returns the canonical code of a rooted labelled graph. The
+// returned Code's bytes alias workspace memory and are valid until the
+// workspace's next use; Clone them to retain.
 func (w *CodeWorkspace) RootedCode(l *Labeled, root int) Code {
 	if root < 0 || root >= l.N() {
 		panic(fmt.Sprintf("graph: root %d out of range", root))
@@ -718,4 +716,15 @@ func sortInt32sSmall(p []int32) {
 			p[j-1], p[j] = p[j], p[j-1]
 		}
 	}
+}
+
+// Isomorphic reports whether two labelled graphs are isomorphic respecting
+// labels, by comparing their canonical codes.
+func Isomorphic(a, b *Labeled) bool {
+	if a.N() != b.N() || a.G.M() != b.G.M() {
+		return false
+	}
+	w := NewCodeWorkspace()
+	ca := w.GraphCode(a).Clone()
+	return ca.Equal(w.GraphCode(b))
 }

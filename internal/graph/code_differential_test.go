@@ -1,9 +1,10 @@
-package halting
+package graph_test
 
 import (
 	"testing"
 
 	"repro/internal/graph"
+	"repro/internal/halting"
 	"repro/internal/turing"
 )
 
@@ -49,7 +50,7 @@ func diffViews(t *testing.T, l *graph.Labeled, radius, maxViewNodes int) {
 }
 
 func TestPyramidViewCodesMatchLegacy(t *testing.T) {
-	p := Params{Machine: turing.Counter(2, '0'), R: 1, MaxSteps: 200, FragmentLimit: 8}
+	p := halting.Params{Machine: turing.Counter(2, '0'), R: 1, MaxSteps: 200, FragmentLimit: 8}
 	asm, err := p.BuildPyramidalG()
 	if err != nil {
 		t.Fatal(err)
@@ -58,7 +59,7 @@ func TestPyramidViewCodesMatchLegacy(t *testing.T) {
 }
 
 func TestGridAssemblyViewCodesMatchLegacy(t *testing.T) {
-	p := Params{Machine: turing.Counter(3, '0'), R: 1, MaxSteps: 200, FragmentLimit: 8}
+	p := halting.Params{Machine: turing.Counter(3, '0'), R: 1, MaxSteps: 200, FragmentLimit: 8}
 	asm, err := p.BuildG()
 	if err != nil {
 		t.Fatal(err)

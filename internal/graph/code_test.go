@@ -8,10 +8,10 @@ import (
 )
 
 // Differential suite: the integer/fingerprint pipeline (code.go) against the
-// legacy string implementation (canon.go). The two encoders produce
-// different bytes by design; what must coincide exactly is the equivalence
-// they induce — equal codes iff isomorphic — over every graph family the
-// reproduction exercises.
+// reference string implementation (canon_reference_test.go). The two
+// encoders produce different bytes by design; what must coincide exactly is
+// the equivalence they induce — equal codes iff isomorphic — over every
+// graph family the reproduction exercises.
 
 // randomTree returns a random labelled tree on n nodes (random attachment).
 func randomTree(n int, rng *rand.Rand, alphabet []Label) *Labeled {

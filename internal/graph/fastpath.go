@@ -21,8 +21,8 @@ import (
 // with a generic code of a different (necessarily non-isomorphic) graph.
 // Within a shape the encodings below are complete invariants — equal bytes
 // iff label- and root-preserving isomorphic — which fastpath_test.go pins
-// differentially against the generic pipeline and the legacy string canon
-// over randomized families.
+// differentially against the generic pipeline and the reference string
+// encoder over randomized families.
 //
 // The fast paths bypass 1-WL refinement and the individualisation search
 // entirely: one traversal, closed-form orientation/ordering, one byte

@@ -174,8 +174,9 @@ func (r *radixRefiner) compareSig(a, b int) int {
 
 // RootedRefinementCode is the differential reference for
 // CodeWorkspace.RefinementCode: the same isomorphism-invariant (but
-// possibly incomplete) code computed by the string pipeline of canon.go,
-// with the class summary and colour-pair edge profile rendered as text.
+// possibly incomplete) code computed by the string pipeline of
+// canon_reference_test.go, with the class summary and colour-pair edge
+// profile rendered as text.
 func RootedRefinementCode(l *Labeled, root int) string {
 	in := newCanonInput(l, root)
 	colors := refine(in.g, in.colors)

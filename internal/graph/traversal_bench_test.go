@@ -8,8 +8,9 @@ import (
 // Benchmarks for the Traversal scratch at production scale (n=10^5–10^6):
 // steady-state whole-graph analyses must report 0 allocs/op, and the
 // scratch variants are pinned against the allocating wrappers so the win
-// stays measured. BENCH_4.json records these; scripts/benchgate gates the
-// n=10^6 BFS against the committed baseline.
+// stays measured. The BenchmarkBFSLarge/cycle/n=1000000 and
+// BenchmarkTraversalBFS/cycle/n=1000000 rows of scripts/benchgate gate the
+// n=10^6 BFS.
 
 func traversalBenchHosts() map[string]*Graph {
 	return map[string]*Graph{

@@ -131,8 +131,7 @@ func (v *View) RefinementCode() Code {
 // ObliviousCode is the canonical code of the view ignoring identifiers: two
 // nodes receive the same ObliviousCode iff no Id-oblivious algorithm with this
 // horizon can distinguish them. (Kept label-only so renaming IDs never changes
-// the code.) The string is a copy of CanonCode's bytes; the legacy string
-// encoder remains available as RootedCanonicalCode for differential testing.
+// the code.) The string is a copy of CanonCode's bytes.
 func (v *View) ObliviousCode() string {
 	return string(v.CanonCode().Bytes)
 }

@@ -72,7 +72,7 @@ type RandomizedAlgorithm interface {
 
 // EngineDecider adapts an ID-using algorithm to the engine's decider type.
 func EngineDecider(alg Algorithm) engine.Decider {
-	return engine.Decider{Name: alg.Name(), Horizon: alg.Horizon(), UsesIDs: true, Decide: alg.Decide}
+	return engine.Decider{Name: alg.Name(), Horizon: alg.Horizon(), Decide: alg.Decide}
 }
 
 // EngineObliviousDecider adapts an Id-oblivious algorithm to the engine's
