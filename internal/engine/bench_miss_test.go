@@ -7,6 +7,7 @@ import (
 	"slices"
 	"sort"
 	"testing"
+	"time"
 
 	"repro/internal/graph"
 )
@@ -16,7 +17,7 @@ import (
 // every node pays the full miss path (raw-key miss, canonical code, decide,
 // insert) instead of the ~0.9999-hit-rate regime BenchmarkDedup measures.
 //
-// Two arms per family:
+// Two arms per family, and the two timed as pairs:
 //
 //	engine  — the current miss path: shape fast paths + cell-local
 //	          refinement with twin pruning (EvalOblivious with a fresh
@@ -24,10 +25,12 @@ import (
 //	replica — the BENCH_5-era miss path, frozen below: the same extraction,
 //	          raw-key and cache protocol, but canonical codes computed by the
 //	          PR5 generic pipeline (per-round comparison sorts, per-node
-//	          slices.Sort of neighbour colours, int-typed SoA). The
-//	          scripts/benchgate rows gate engine ≥3× replica on the cycle
-//	          family and engine ≤0.6× replica on the grid family, whose
-//	          views take the generic tier.
+//	          slices.Sort of neighbour colours, int-typed SoA).
+//	paired  — one engine run, then one replica run, per iteration; it
+//	          reports the median engine/replica ratio. The
+//	          scripts/benchgate rows gate it at 0.1468 on the cycle family
+//	          and at 0.6 on the grid family, whose views take the generic
+//	          tier.
 //
 // The replica is a faithful port of internal/graph/code.go as of BENCH_5
 // (git ae9f8a1) onto the public Graph API; it exists only as a measurement
@@ -94,6 +97,27 @@ func BenchmarkDedupMiss(b *testing.B) {
 					b.Fatalf("miss bench host produced %d dedup hits; labels not distinct enough", hits)
 				}
 			}
+		})
+		// The gated form of the two arms, timed the way
+		// BenchmarkStoreSteadyOverhead times its pair: every iteration runs
+		// the engine arm, then the replica arm, and the benchmark reports
+		// the median per-iteration ratio. Drift on a shared runner hits
+		// both arms of a pair alike, and a spike on either arm of a few
+		// pairs cannot move the median; a minimum per independently timed
+		// arm moved by a third between runs.
+		b.Run(fam.name+"/paired", func(b *testing.B) {
+			w := &replicaWorkspace{}
+			w.sigS.w = w
+			ratios := make([]float64, 0, b.N)
+			for i := 0; i < b.N; i++ {
+				t0 := time.Now()
+				EvalOblivious(dec, fam.host, Options{Dedup: true})
+				t1 := time.Now()
+				replicaColdSweep(dec, fam.host, w)
+				ratios = append(ratios, float64(t1.Sub(t0))/float64(time.Since(t1)))
+			}
+			slices.Sort(ratios)
+			b.ReportMetric(ratios[len(ratios)/2], "engine/replica")
 		})
 	}
 }

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"slices"
 	"sync"
 
 	"repro/internal/graph"
@@ -39,197 +40,126 @@ import (
 // from a shared extractor instead, so message faults cost time, never
 // verdicts.
 //
-// Knowledge is held in flat sorted-row form (the same CSR discipline as the
-// extractor arena), not per-node maps: a node's picture of the network is a
-// strictly-ascending list of known node addresses with parallel label/id
-// columns and one full host adjacency row per known node. Two pictures merge
-// with a single two-pointer sweep over the flat arrays, and each goroutine
-// merges into a double buffer, so the steady state allocates only the
-// per-round immutable snapshot it must publish to its neighbours.
-
-// knowledge is a node's accumulated picture of the network, keyed by the
-// runtime's hidden node addresses (never exposed to deciders), in flat
-// sorted-row form.
+// A node's knowledge is the set of hidden node addresses (never exposed to
+// deciders) it has heard of, held as one strictly ascending []int32. A
+// node's label, identifier and host row are fixed per address, so nothing
+// else needs to travel: view assembly reads them from the host. Two
+// pictures merge with a single two-pointer sweep over one column into a
+// double buffer, so the steady state allocates only the per-round
+// immutable snapshot each node publishes to its neighbours.
 //
-// Invariant: nodes is strictly ascending and nbrs holds, for each known
-// node, its complete host adjacency row — a node only becomes known through
-// a snapshot chain rooted at that node, which carries its full row. Rows may
-// reference nodes that are not (yet) known; assembleView filters them.
-type knowledge struct {
-	nodes   []int32       // known node addresses, strictly ascending
-	offsets []int32       // len(nodes)+1; row i spans nbrs[offsets[i]:offsets[i+1]]
-	nbrs    []int32       // full host rows of the known nodes (host addresses)
-	labels  []graph.Label // labels[i] labels nodes[i]
-	ids     []int         // ids[i] identifies nodes[i]
-}
+// The node goroutines run only the t rounds. Once every one has finished,
+// the kernel's pool decides all nodes, one worker per CPU, each assembling
+// its nodes' views on its own extractor and reusable buffers.
 
-// size is the knowledge-unit count reported in Stats (known nodes).
-func (k *knowledge) size() int { return len(k.nodes) }
-
-// lookupKnown binary-searches the ascending known-node column.
-func lookupKnown(nodes []int32, v int32) (int, bool) {
-	lo, hi := 0, len(nodes)
-	for lo < hi {
-		mid := int(uint(lo+hi) >> 1)
-		if nodes[mid] < v {
-			lo = mid + 1
-		} else {
-			hi = mid
-		}
+// mergeKnowledge writes the union of the ascending address sets a and b
+// into dst's buffer and returns it, growing the buffer only when a and b
+// together could overflow it.
+func mergeKnowledge(dst, a, b []int32) []int32 {
+	if need := len(a) + len(b); cap(dst) < need {
+		dst = make([]int32, 0, need)
 	}
-	if lo < len(nodes) && nodes[lo] == v {
-		return lo, true
-	}
-	return lo, false
-}
-
-// mergeKnowledge writes the union of a and b into dst, reusing dst's
-// buffers. Rows of a node known to both sides are identical by the
-// knowledge invariant, so the union is a plain two-pointer merge of the
-// parallel columns — no per-row set arithmetic.
-func mergeKnowledge(dst, a, b *knowledge) {
-	dst.nodes = dst.nodes[:0]
-	dst.labels = dst.labels[:0]
-	dst.ids = dst.ids[:0]
-	dst.offsets = append(dst.offsets[:0], 0)
-	dst.nbrs = dst.nbrs[:0]
+	dst = dst[:0]
 	i, k := 0, 0
-	for i < len(a.nodes) || k < len(b.nodes) {
-		src, at := a, i
+	for i < len(a) && k < len(b) {
 		switch {
-		case k >= len(b.nodes):
+		case a[i] < b[k]:
+			dst = append(dst, a[i])
 			i++
-		case i >= len(a.nodes) || b.nodes[k] < a.nodes[i]:
-			src, at = b, k
+		case b[k] < a[i]:
+			dst = append(dst, b[k])
 			k++
-		case a.nodes[i] < b.nodes[k]:
-			i++
 		default: // known on both sides
+			dst = append(dst, a[i])
 			i++
 			k++
 		}
-		dst.nodes = append(dst.nodes, src.nodes[at])
-		dst.labels = append(dst.labels, src.labels[at])
-		dst.ids = append(dst.ids, src.ids[at])
-		dst.nbrs = append(dst.nbrs, src.nbrs[src.offsets[at]:src.offsets[at+1]]...)
-		dst.offsets = append(dst.offsets, int32(len(dst.nbrs)))
 	}
+	dst = append(dst, a[i:]...)
+	return append(dst, b[k:]...)
 }
 
 // knowledgeBuf is one goroutine's working knowledge: a double buffer that
 // absorbs incoming snapshots by merging cur+src into spare and flipping, so
-// repeated merges churn two reusable arenas instead of allocating per merge.
+// repeated merges churn two reusable arrays instead of allocating per merge.
 type knowledgeBuf struct {
-	cur, spare *knowledge
+	cur, spare []int32
 }
 
-// newNodeKnowledge seeds node v's initial picture: itself, its label, its
-// hidden identifier, and its full host row. The row is copied, not aliased:
-// the initial buffer cycles through the merge double-buffer, whose in-place
-// truncate-and-append would otherwise scribble over the host's shared
-// neighbour arena.
-func newNodeKnowledge(j *job, v, id int) *knowledgeBuf {
-	row := j.l.G.Neighbors(v)
-	cur := &knowledge{
-		nodes:   []int32{int32(v)},
-		offsets: []int32{0, int32(len(row))},
-		nbrs:    append(make([]int32, 0, len(row)), row...),
-		labels:  []graph.Label{j.l.Labels[v]},
-		ids:     []int{id},
-	}
-	return &knowledgeBuf{cur: cur, spare: &knowledge{}}
+// newNodeKnowledge seeds node v's initial picture: v alone.
+func newNodeKnowledge(v int) knowledgeBuf {
+	return knowledgeBuf{cur: []int32{int32(v)}}
 }
 
 // absorb merges one incoming snapshot into the working knowledge.
-func (b *knowledgeBuf) absorb(src *knowledge) {
-	mergeKnowledge(b.spare, b.cur, src)
+func (b *knowledgeBuf) absorb(src []int32) {
+	b.spare = mergeKnowledge(b.spare, b.cur, src)
 	b.cur, b.spare = b.spare, b.cur
 }
 
 // snapshot publishes an immutable exact-size copy of the working knowledge —
 // the one steady-state allocation of a protocol round (receivers keep
 // merging from it while the sender's working buffers move on).
-func (b *knowledgeBuf) snapshot() *knowledge {
-	k := b.cur
-	return &knowledge{
-		nodes:   append(make([]int32, 0, len(k.nodes)), k.nodes...),
-		offsets: append(make([]int32, 0, len(k.offsets)), k.offsets...),
-		nbrs:    append(make([]int32, 0, len(k.nbrs)), k.nbrs...),
-		labels:  append(make([]graph.Label, 0, len(k.labels)), k.labels...),
-		ids:     append(make([]int, 0, len(k.ids)), k.ids...),
-	}
+func (b *knowledgeBuf) snapshot() []int32 { return slices.Clone(b.cur) }
+
+// assembler builds gathered views for one decide worker. Its buffers and
+// extractor are reused from node to node; a view it returns is valid until
+// its next one.
+type assembler struct {
+	x       *graph.ViewExtractor
+	offsets []int32
+	nbrs    []int32
+	labels  []graph.Label
+	ids     []int
+	l       graph.Labeled
+	in      graph.Instance
 }
 
-// mpAssemblers pools the ViewExtractors backing knowledge assembly: each
-// node decides exactly once, so a small pool of extractors (with their flat
-// arenas and canonical-code workspaces) cycles through the whole run instead
-// of every goroutine growing its own.
-var mpAssemblers = sync.Pool{
-	New: func() any {
-		return graph.NewViewExtractor(graph.NewLabeled(graph.FromEdges(0, nil), nil))
-	},
-}
-
-// assembleView restricts gathered knowledge to the induced radius-t ball
-// around centre and packages it as a View matching graph.ViewOf. The known
-// subgraph is built by filtering each known node's full host row to the
-// known set — a monotone dense renumbering, so BFS discovery order (and with
-// it the exact view layout) is preserved — and the ball restriction is the
+// view restricts the knowledge known to the induced radius-t ball around
+// centre and packages it as a View matching graph.ViewOf. The known
+// subgraph is built by filtering each known node's host row to the known
+// set — a monotone dense renumbering, so BFS discovery order (and with it
+// the exact view layout) is preserved — and the ball restriction is the
 // extractor's, rebound to the known subgraph.
-func assembleView(x *graph.ViewExtractor, know *knowledge, centre, t int, oblivious bool) *graph.View {
-	k := len(know.nodes)
-	offsets := make([]int32, k+1)
-	nbrs := make([]int32, 0, len(know.nbrs))
-	for i := 0; i < k; i++ {
-		for _, u := range know.nbrs[know.offsets[i]:know.offsets[i+1]] {
-			if li, ok := lookupKnown(know.nodes, u); ok {
-				nbrs = append(nbrs, int32(li))
+func (a *assembler) view(j *job, known []int32, centre int) *graph.View {
+	a.offsets = append(a.offsets[:0], 0)
+	a.nbrs, a.labels, a.ids = a.nbrs[:0], a.labels[:0], a.ids[:0]
+	for _, u := range known {
+		for _, w := range j.l.G.Neighbors(int(u)) {
+			if li, ok := slices.BinarySearch(known, w); ok {
+				a.nbrs = append(a.nbrs, int32(li))
 			}
 		}
-		offsets[i+1] = int32(len(nbrs))
+		a.offsets = append(a.offsets, int32(len(a.nbrs)))
+		a.labels = append(a.labels, j.l.Labels[u])
+		if j.in != nil {
+			a.ids = append(a.ids, j.in.IDs[u])
+		}
 	}
-	g := graph.BuildCSR(offsets, func(dst []int32) { copy(dst, nbrs) })
-	l := graph.NewLabeled(g, know.labels)
-	centreIdx, ok := lookupKnown(know.nodes, int32(centre))
-	if !ok {
-		panic("engine: assembleView centre not in its own knowledge")
-	}
-	if oblivious {
-		x.Reset(l)
+	// The graph aliases a.offsets, which the next assembly overwrites only
+	// after this view's decide has returned.
+	a.l = graph.Labeled{G: graph.BuildCSR(a.offsets, func(dst []int32) { copy(dst, a.nbrs) }), Labels: a.labels}
+	if j.in == nil {
+		a.x.Reset(&a.l)
 	} else {
-		// The identifier column is pairwise distinct by construction (one
-		// hidden identifier per node), so the Instance is built directly
-		// instead of through NewInstance's validating copy.
-		x.ResetInstance(&graph.Instance{Labeled: l, IDs: know.ids})
+		// The identifier column is pairwise distinct, as on the host, so
+		// the Instance is built directly instead of through NewInstance's
+		// validating copy.
+		a.in = graph.Instance{Labeled: &a.l, IDs: a.ids}
+		a.x.ResetInstance(&a.in)
 	}
-	view := x.At(centreIdx, t)
+	centreIdx, ok := slices.BinarySearch(known, int32(centre))
+	if !ok {
+		panic("engine: flooding centre not in its own knowledge")
+	}
+	view := a.x.At(centreIdx, j.dec.Horizon)
 	// The extractor numbered Original against the known subgraph; rebind it
 	// to host addresses (in place — the slice is extractor scratch, reset on
 	// the next extraction).
 	for i, w := range view.Original {
-		view.Original[i] = int(know.nodes[w])
+		view.Original[i] = int(known[w])
 	}
 	return view
-}
-
-// decideGathered decides node v from the knowledge it gathered: the ball
-// restricted to radius t, assembled on a pooled extractor.
-func (j *job) decideGathered(know *knowledge, v int) Verdict {
-	x := mpAssemblers.Get().(*graph.ViewExtractor)
-	verdict := j.decideView(assembleView(x, know, v, j.dec.Horizon, j.in == nil), v)
-	mpAssemblers.Put(x)
-	return verdict
-}
-
-// hiddenID is node v's routing identifier in the flooding runtime: the
-// instance's real identifier when the evaluation carries them, a throwaway
-// node index otherwise (stripped from the assembled views before the
-// decider sees them).
-func (j *job) hiddenID(v int) int {
-	if j.in == nil {
-		return v
-	}
-	return j.in.IDs[v]
 }
 
 // maxMessageDuplicates clamps an injector's per-message duplicate count, so
@@ -256,72 +186,71 @@ func (j *job) messageFate(round, from, to int) MessageFate {
 	return fate
 }
 
-// mpFatePlan is a flooding run's fate table: which nodes end the protocol
-// clean, and the deterministic fault tally. Without an injector it is empty:
-// every node clean, every tally zero.
-type mpFatePlan struct {
-	clean []bool // clean[v]: every copy in v's dependency cone was on time
-
-	dropped, duplicated, delayed, retransmits int
-}
-
-// planFates walks every (round, directed edge) site once, before the
-// protocol starts: it accumulates the fault tally and computes the
-// transitive cleanliness recursion
+// planFates is a flooding run's fate plan. It walks every (round, directed
+// edge) site once, before the protocol starts, tallies the deterministic
+// message faults and incomplete views into Stats, and returns which nodes
+// end the protocol clean: clean[v] holds when every copy in v's dependency
+// cone was on time, by the transitive recursion
 //
 //	clean_0(v) = true
 //	clean_{r+1}(v) = clean_r(v) ∧ ∀(u,v)∈E: onTime_r(u→v) ∧ clean_r(u)
 //
-// — exactly "v's radius-(r+1) gather is the true ball". The injector being a
-// pure function, the senders re-consulting the same sites later see the
-// same fates.
-func (j *job) planFates(t int) *mpFatePlan {
-	n := j.n
-	p := &mpFatePlan{clean: make([]bool, n)}
-	for v := range p.clean {
-		p.clean[v] = true
+// — exactly "v's radius-(r+1) gather is the true ball". Without an injector
+// every node is clean and every tally zero. The injector being a pure
+// function, the senders re-consulting the same sites later see the same
+// fates.
+func (j *job) planFates(t int) []bool {
+	n, s := j.n, &j.stats
+	clean := make([]bool, n)
+	for v := range clean {
+		clean[v] = true
 	}
 	if j.faults == nil {
-		return p
+		return clean
 	}
 	next := make([]bool, n)
 	for r := 0; r < t; r++ {
-		copy(next, p.clean)
+		copy(next, clean)
 		for u := 0; u < n; u++ {
 			for _, w := range j.l.G.Neighbors(u) {
 				fate := j.messageFate(r, u, int(w))
 				if fate.Attempts > 1 {
-					p.retransmits += fate.Attempts - 1
+					s.Retransmits += fate.Attempts - 1
 				}
 				if !fate.Delivered {
-					p.dropped++
+					s.Dropped++
 				} else if fate.Delay > 0 {
-					p.delayed++
+					s.Delayed++
 				}
-				p.duplicated += fate.Duplicates
-				if !fate.Delivered || fate.Delay > 0 || !p.clean[u] {
+				s.Duplicated += fate.Duplicates
+				if !fate.Delivered || fate.Delay > 0 || !clean[u] {
 					next[w] = false
 				}
 			}
 		}
-		p.clean, next = next, p.clean
+		clean, next = next, clean
 	}
-	return p
+	for _, ok := range clean {
+		if !ok {
+			s.IncompleteViews++
+		}
+	}
+	return clean
 }
 
 // envelope is one link's delivery for one round: every snapshot copy its
 // receiver absorbs that round. On a lossless run it is the sender's on-time
 // snapshot alone, and allocates nothing.
 type envelope struct {
-	now  *knowledge   // the sender's on-time snapshot; nil if lost or delayed
-	more []*knowledge // duplicates and delayed copies due this round
+	now  []int32   // the sender's on-time snapshot; nil if lost or delayed
+	more [][]int32 // duplicates and delayed copies due this round
 }
 
 // parcel is a copy its sender holds back until the round it is due.
 type parcel struct {
 	link int // the receiver's position in the sender's row
 	due  int // the round whose envelope carries the copy
-	know *knowledge
+	know []int32
 }
 
 // floodLinks wires one envelope channel per directed edge, indexed by the
@@ -354,8 +283,9 @@ type mpScheduler struct{}
 
 func (mpScheduler) Name() string { return "message-passing" }
 
-// run floods for t rounds, one goroutine per node; see the file comment for
-// the protocol and the degradation ladder.
+// run floods for t rounds, one goroutine per node, then decides every node
+// on the kernel's pool; see the file comment for the protocol and the
+// degradation ladder.
 func (mpScheduler) run(j *job) {
 	// The flooding runtime assembles every view operationally and never
 	// deduplicates (see Options.Dedup).
@@ -366,23 +296,19 @@ func (mpScheduler) run(j *job) {
 	n, t := j.n, j.dec.Horizon
 	j.stats.Rounds = t
 	j.stats.Workers = n
-	plan := j.planFates(t)
-	j.stats.Dropped = plan.dropped
-	j.stats.Duplicated = plan.duplicated
-	j.stats.Delayed = plan.delayed
-	j.stats.Retransmits = plan.retransmits
+	clean := j.planFates(t)
 	base, chans, rev := floodLinks(j.l.G)
 
-	var (
-		wg       sync.WaitGroup
-		fallback fallbackExtractor
-	)
+	// known[v] is node v's gathered knowledge, written by its goroutine
+	// before wg.Done and read by the decide stage after wg.Wait.
+	known := make([][]int32, n)
+	var wg sync.WaitGroup
 	wg.Add(n)
 	for v := 0; v < n; v++ {
 		go func(v int) {
 			defer wg.Done()
 			var c counters
-			buf := newNodeKnowledge(j, v, j.hiddenID(v))
+			buf := newNodeKnowledge(v)
 			row := j.l.G.Neighbors(v)
 			var parked []parcel
 			for round := 0; round < t; round++ {
@@ -394,7 +320,7 @@ func (mpScheduler) run(j *job) {
 					if fate := j.messageFate(round, v, int(u)); fate.Delivered {
 						copies := 1 + fate.Duplicates
 						c.messages += copies
-						c.units += copies * snap.size()
+						c.units += copies * len(snap)
 						due := round + fate.Delay
 						if due == round {
 							env.now = snap
@@ -426,25 +352,38 @@ func (mpScheduler) run(j *job) {
 					}
 				}
 			}
-
-			decide := func(v int) Verdict { return j.decideGathered(buf.cur, v) }
-			if !plan.clean[v] {
-				c.incomplete++
-				decide = func(v int) Verdict { return fallback.decide(j, v) }
-			}
-			// Neighbours depended on every send above, so the protocol ran
-			// to completion; the decide is skipped once the evaluation has
-			// stopped. Evaluated counts the node once, however many attempts
-			// it took.
-			if !j.stop() {
-				verdict, ok := j.guarded(&c, v, decide)
-				c.evaluated++
-				j.commit(v, verdict, ok)
-			}
+			known[v] = buf.cur
 			j.merge(&c)
 		}(v)
 	}
 	wg.Wait()
+
+	// The decide stage. Neighbours depended on every send above, so the
+	// protocol ran to completion; a node is skipped once the evaluation has
+	// stopped. Evaluated counts a node once, however many attempts it took.
+	var (
+		p        pool
+		fallback fallbackExtractor
+	)
+	p.reset(n, poolWidth(0, n))
+	p.run(func(int) {
+		var c counters
+		// The extractor is rebound to each known subgraph, so it starts on
+		// an empty host instead of sizing its BFS buffers to this one.
+		a := assembler{x: graph.NewViewExtractor(&graph.Labeled{G: graph.New(0)})}
+		gathered := func(v int) Verdict { return j.decideView(a.view(j, known[v], v), v) }
+		full := func(v int) Verdict { return fallback.decide(j, v) }
+		for v, more := p.claim(); more && !j.stop(); v, more = p.claim() {
+			decide := gathered
+			if !clean[v] {
+				decide = full
+			}
+			verdict, ok := j.guarded(&c, v, decide)
+			c.evaluated++
+			j.commit(v, verdict, ok)
+		}
+		j.merge(&c)
+	})
 }
 
 // fallbackExtractor is the shared extractor serving incomplete nodes, built

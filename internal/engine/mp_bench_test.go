@@ -7,33 +7,29 @@ import (
 	"repro/internal/graph"
 )
 
-// Message-passing benchmarks: the flat sorted-row knowledge machinery (the
-// per-round merge/snapshot discipline that replaced per-edge maps) and the
+// Message-passing benchmarks: the flooding knowledge machinery (the
+// per-round merge/snapshot discipline over sets of node addresses) and the
 // sharded halo-exchange runtime against the per-node flooding protocol.
 
 // BenchmarkMPRound pins the allocation discipline of the round machinery:
 // one op is a full t-round synchronous gather on a cycle, simulated
 // sequentially so goroutine scheduling stays out of the measurement. The
-// double-buffered merge reuses its arenas, so allocs/op is dominated by the
-// per-round snapshots plus amortised arena growth — linear in n·t, not
+// double-buffered merge reuses its arrays, so allocs/op is dominated by the
+// per-round snapshots plus amortised buffer growth — linear in n·t, not
 // quadratic in merged knowledge volume. The CI gate pins allocs/op at
-// 40000 (~18 per node·round; the per-edge map representation this replaced
-// allocated per merged edge and blew through that bound several times over).
+// 12288, 6 per node·round; knowledge that carried each known node's row,
+// label and identifier took 17.5, and per-edge maps several times more.
 func BenchmarkMPRound(b *testing.B) {
 	const n, t = 512, 4
 	l := graph.UniformlyLabeled(graph.Cycle(n), "u")
-	j, err := newJob(cheapDecider(t), l, nil, Options{})
-	if err != nil {
-		b.Fatal(err)
-	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		bufs := make([]*knowledgeBuf, n)
+		bufs := make([]knowledgeBuf, n)
 		for v := range bufs {
-			bufs[v] = newNodeKnowledge(j, v, v)
+			bufs[v] = newNodeKnowledge(v)
 		}
-		snaps := make([]*knowledge, n)
+		snaps := make([][]int32, n)
 		for r := 0; r < t; r++ {
 			for v := range bufs {
 				snaps[v] = bufs[v].snapshot()

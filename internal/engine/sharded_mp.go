@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"runtime"
+	"slices"
 	"sort"
 	"sync"
 
@@ -236,31 +237,8 @@ func (s shardedMPScheduler) run(j *job) {
 				}
 			}
 
-			// Drain and decode. Unique rings decode in ascending-round order
-			// per link, which is exactly the order the sender grew its label
-			// dictionary in, so the per-link dictionaries stay in sync; lost
-			// rings were never encoded and cannot desynchronise them.
-			var ghosts []ghostRec
-			for _, l := range inLinks[sh] {
-				byRound := make(map[int][]byte, len(l.sends))
-				for got := 0; got < l.expect; got++ {
-					m := <-l.ch
-					if _, dup := byRound[m.round]; !dup {
-						byRound[m.round] = m.payload
-					}
-				}
-				var dict []graph.Label
-				for _, snd := range l.sends {
-					payload, ok := byRound[snd.ring.round]
-					if !ok {
-						panic("engine: sharded-mp link drained but ring missing")
-					}
-					before := len(ghosts)
-					ghosts, dict = decodeHaloRing(payload, dict, withIDs, ghosts)
-					c.ghosts += len(ghosts) - before
-					c.roundGhosts[snd.ring.round] += len(ghosts) - before
-				}
-			}
+			ghosts, corrupt := importHalo(inLinks[sh], withIDs, &c)
+			lost := degraded[sh] || corrupt
 
 			// Assemble the shard-local sub-host: owned nodes plus imported
 			// ghosts, monotone-renumbered, rows filtered to the local set.
@@ -286,24 +264,27 @@ func (s shardedMPScheduler) run(j *job) {
 				x = graph.NewViewExtractor(local.labeled)
 			}
 
-			// Decide owned nodes in ascending host order. Degraded shards
-			// route their rim nodes through the shared full-host fallback
+			// Decide owned nodes in ascending host order. A degraded shard
+			// routes its rim nodes through the shared full-host fallback
 			// extractor; interior balls never leave the shard and stay local.
-			rim := rims[sh]
+			var rim []int32 // the nodes that fall back: none unless degraded
+			if lost {
+				rim = rims[sh]
+			}
 			for _, v32 := range own {
 				v := int(v32)
 				if j.stop() {
 					break
 				}
 				var body func(v int) Verdict
-				if degraded[sh] && containsInt32(rim, v32) {
+				if _, onRim := slices.BinarySearch(rim, v32); onRim {
 					c.incomplete++
 					body = func(v int) Verdict {
 						c.evaluated++
 						return fallback.decide(j, v)
 					}
 				} else {
-					li, found := lookupKnown(ext, v32)
+					li, found := slices.BinarySearch(ext, v32)
 					if !found {
 						panic("engine: sharded-mp owned node missing from local host")
 					}
@@ -324,6 +305,42 @@ func (s shardedMPScheduler) run(j *job) {
 		}(sh)
 	}
 	wg.Wait()
+}
+
+// importHalo drains a shard's incoming links and decodes their rings into
+// ghost records, tallying them into c. Unique rings decode in
+// ascending-round order per link, which is exactly the order the sender
+// grew its label dictionary in, so the per-link dictionaries stay in sync;
+// lost rings were never encoded and cannot desynchronise them. A ring that
+// fails to decode is lost like a dropped one, and so is the rest of its
+// link, since later rings may refer to dictionary entries it failed to
+// add; corrupt reports that this happened.
+func importHalo(links []*haloLink, withIDs bool, c *counters) (ghosts []ghostRec, corrupt bool) {
+	for _, l := range links {
+		byRound := make(map[int][]byte, len(l.sends))
+		for got := 0; got < l.expect; got++ {
+			m := <-l.ch
+			if _, dup := byRound[m.round]; !dup {
+				byRound[m.round] = m.payload
+			}
+		}
+		var dict []graph.Label
+		for _, snd := range l.sends {
+			payload, ok := byRound[snd.ring.round]
+			if !ok {
+				panic("engine: sharded-mp link drained but ring missing")
+			}
+			before := len(ghosts)
+			var err error
+			if ghosts, dict, err = decodeHaloRing(payload, dict, withIDs, ghosts); err != nil {
+				corrupt = true
+				break
+			}
+			c.ghosts += len(ghosts) - before
+			c.roundGhosts[snd.ring.round] += len(ghosts) - before
+		}
+	}
+	return ghosts, corrupt
 }
 
 // ghostRec is one imported halo node: its host address, label, optional
@@ -373,7 +390,7 @@ func buildLocalHost(j *job, ext []int32, ghosts []ghostRec, withIDs bool) localH
 			}
 		}
 		for _, u := range row {
-			if li, ok := lookupKnown(ext, u); ok {
+			if li, ok := slices.BinarySearch(ext, u); ok {
 				nbrs = append(nbrs, int32(li))
 			}
 		}
@@ -387,12 +404,6 @@ func buildLocalHost(j *job, ext []int32, ghosts []ghostRec, withIDs bool) localH
 		h.instance = &graph.Instance{Labeled: l, IDs: ids}
 	}
 	return h
-}
-
-// containsInt32 binary-searches a sorted slice.
-func containsInt32(s []int32, v int32) bool {
-	_, ok := lookupKnown(s, v)
-	return ok
 }
 
 // encodeHaloRing serialises one ring for a link. Format, all varints:
@@ -443,36 +454,67 @@ func encodeHaloRing(j *job, dict map[graph.Label]int, ring haloRing, withIDs boo
 }
 
 // decodeHaloRing is encodeHaloRing's inverse, appending the decoded records
-// to out and the first-occurrence labels to the link dictionary.
-func decodeHaloRing(payload []byte, dict []graph.Label, withIDs bool, out []ghostRec) ([]ghostRec, []graph.Label) {
+// to out and the first-occurrence labels to the link dictionary. A payload
+// it cannot decode — a truncated or overlong varint, a back-reference
+// outside the dictionary, a node count, label length or row degree longer
+// than the rest of the payload, or trailing bytes — yields an error and out
+// and dict as they were passed in, so no allocation is sized from wire data
+// beyond the payload.
+func decodeHaloRing(payload []byte, dict []graph.Label, withIDs bool, out []ghostRec) ([]ghostRec, []graph.Label, error) {
+	records, words := len(out), len(dict)
 	pos := 0
-	next := func() uint64 {
-		x, n := binary.Uvarint(payload[pos:])
+	var err error
+	fail := func(format string, args ...any) {
+		if err == nil {
+			err = fmt.Errorf("engine: corrupt halo ring at byte %d: "+format, append([]any{pos}, args...)...)
+		}
+	}
+	// took consumes a varint of n bytes, as binary.Uvarint or Varint
+	// reported it. After the first error it consumes nothing, and every
+	// read returns 0.
+	took := func(n int) bool {
 		if n <= 0 {
-			panic(fmt.Sprintf("engine: corrupt halo ring at byte %d", pos))
+			fail("truncated or overlong varint")
+		}
+		if err != nil {
+			return false
 		}
 		pos += n
-		return x
+		return true
+	}
+	next := func() uint64 {
+		if x, n := binary.Uvarint(payload[pos:]); took(n) {
+			return x
+		}
+		return 0
 	}
 	nextSigned := func() int64 {
-		x, n := binary.Varint(payload[pos:])
-		if n <= 0 {
-			panic(fmt.Sprintf("engine: corrupt halo ring at byte %d", pos))
+		if x, n := binary.Varint(payload[pos:]); took(n) {
+			return x
 		}
-		pos += n
-		return x
+		return 0
+	}
+	// length reads a count of items that take at least one byte each.
+	length := func(what string) int {
+		x := next()
+		if x > uint64(len(payload)-pos) {
+			fail("%s %d longer than the rest of the ring", what, x)
+			return 0
+		}
+		return int(x)
 	}
 	_ = next() // round (carried in haloMsg too; kept for self-containment)
-	count := int(next())
+	count := length("node count")
 	prev := int32(-1)
-	for i := 0; i < count; i++ {
+	for i := 0; i < count && err == nil; i++ {
 		v := prev + int32(next())
 		prev = v
 		var lab graph.Label
-		if ref := next(); ref > 0 {
+		if ref := next(); ref > uint64(len(dict)) {
+			fail("label back-reference %d outside a dictionary of %d", ref, len(dict))
+		} else if ref > 0 {
 			lab = dict[ref-1]
-		} else {
-			n := int(next())
+		} else if n := length("label length"); err == nil {
 			lab = graph.Label(payload[pos : pos+n])
 			pos += n
 			dict = append(dict, lab)
@@ -481,7 +523,7 @@ func decodeHaloRing(payload []byte, dict []graph.Label, withIDs bool, out []ghos
 		if withIDs {
 			rec.id = int(next())
 		}
-		deg := int(next())
+		deg := length("row degree")
 		rec.row = make([]int32, deg)
 		rprev := v
 		for ri := 0; ri < deg; ri++ {
@@ -494,5 +536,11 @@ func decodeHaloRing(payload []byte, dict []graph.Label, withIDs bool, out []ghos
 		}
 		out = append(out, rec)
 	}
-	return out, dict
+	if err == nil && pos != len(payload) {
+		fail("%d trailing bytes", len(payload)-pos)
+	}
+	if err != nil {
+		return out[:records], dict[:words], err
+	}
+	return out, dict, nil
 }
