@@ -23,8 +23,8 @@
 // rejects exactly when an update created a cycle or detached a certified
 // parent — the natural dynamic language), coin (randomized: each node
 // accepts unless its 1-in-64 coin draw comes up zero — use with -trials).
-// Backends: sequential (default), sharded (worker pool), mp (goroutine
-// message passing). -dedup decides each distinct canonical view once.
+// Backends: sequential (default), sharded (worker pool), mp (the flooding
+// message-passing protocol). -dedup decides each distinct canonical view once.
 // -runs repeats the evaluation; with -cache the runs share one cross-run
 // verdict cache (engine.ViewCache), so later runs reuse every verdict
 // decided earlier — the per-run stats lines show the hits. -summary

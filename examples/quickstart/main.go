@@ -1,6 +1,7 @@
 // Quickstart: define a labelled-graph property, write its Id-oblivious local
 // verifier, and run it in the LOCAL model — both by direct view evaluation
-// and on the goroutine-per-node message-passing runtime.
+// and on the message-passing runtime, which runs the synchronous flooding
+// protocol round by round.
 //
 // The property here is proper 3-colouring, one of the paper's running
 // examples of a locally decidable property where identifiers play no role.
@@ -34,9 +35,9 @@ func main() {
 	// no-instances need at least one no. The clash in `bad` is seen by the
 	// two adjacent equal-coloured nodes only — locality in action.
 
-	fmt.Println("\n== same verifier on the goroutine message-passing runtime")
+	fmt.Println("\n== same verifier on the message-passing runtime")
 	out := local.RunMessagePassingOblivious(verifier, good)
-	fmt.Printf("good  accepted=%v (one goroutine per node, %d synchronous rounds)\n",
+	fmt.Printf("good  accepted=%v (flooding, %d synchronous rounds)\n",
 		out.Accepted, verifier.Horizon())
 
 	// Custom properties are one function away:

@@ -42,9 +42,10 @@ func TestEvalContextPreCanceled(t *testing.T) {
 
 // TestEvalDeadlineMidRun: a deadline expiring mid-evaluation stops the
 // remaining nodes promptly and surfaces context.DeadlineExceeded, on every
-// scheduler, without stranding worker goroutines. The message-passing
-// backends run their rounds to the end but skip every decide the deadline
-// overtakes.
+// scheduler, without stranding worker goroutines. The flooding runtime
+// would stop between rounds and ShardedMP runs its exchange to the end; at
+// horizon 1 the deadline lands in the decide stage, and both skip every
+// decide it overtakes.
 func TestEvalDeadlineMidRun(t *testing.T) {
 	testutil.VerifyNoLeaks(t)
 	l := graph.UniformlyLabeled(graph.Cycle(10000), "u")
@@ -68,6 +69,35 @@ func TestEvalDeadlineMidRun(t *testing.T) {
 			t.Fatalf("%s: every node evaluated despite the deadline", sched.Name())
 		}
 	}
+}
+
+// TestFloodingDeadlineBetweenRounds: a deadline that lands while the
+// flooding protocol runs stops it before the next round, without deciding.
+// On the n=10^5 cycle at t=8 the whole protocol sends 2m·t = 1,600,000
+// messages and takes far longer than the deadline; the cut run must return
+// promptly, having sent fewer.
+func TestFloodingDeadlineBetweenRounds(t *testing.T) {
+	testutil.VerifyNoLeaks(t)
+	const n, horizon = 100_000, 8
+	l := graph.UniformlyLabeled(graph.Cycle(n), "u")
+	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Millisecond)
+	defer cancel()
+	start := time.Now()
+	out := EvalOblivious(cheapDecider(horizon), l, Options{Scheduler: MessagePassing, Ctx: ctx})
+	elapsed := time.Since(start)
+	if out.Accepted {
+		t.Fatal("a deadline-cut flooding run must not accept")
+	}
+	if !errors.Is(out.Err, context.DeadlineExceeded) {
+		t.Fatalf("Err = %v, want wrapped context.DeadlineExceeded", out.Err)
+	}
+	if all := 2 * n * horizon; out.Stats.Messages >= all {
+		t.Fatalf("%d messages sent, want fewer than the whole protocol's %d", out.Stats.Messages, all)
+	}
+	if elapsed > 500*time.Millisecond {
+		t.Fatalf("flooding ran %v past a 5ms deadline", elapsed)
+	}
+	t.Logf("returned after %v, %d rounds, %d messages", elapsed, out.Stats.Rounds, out.Stats.Messages)
 }
 
 // TestEvalContextUnsetUnchanged: evaluations without a context behave

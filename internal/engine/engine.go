@@ -13,10 +13,10 @@
 //   - early-exit aggregation: LOCAL acceptance is all-accept, so in
 //     accept-only evaluations the first reject cancels all outstanding work;
 //   - pluggable schedulers — Sequential, Sharded (worker pool),
-//     MessagePassing (the fidelity-preserving goroutine-per-node flooding
-//     runtime) and ShardedMP (partitioned shards exchanging halo rings) —
-//     all guaranteed to produce identical per-node verdicts, which the
-//     parity suite enforces.
+//     MessagePassing (the fidelity-preserving flooding runtime, its rounds
+//     run as sweeps over receivers) and ShardedMP (partitioned shards
+//     exchanging halo rings) — all guaranteed to produce identical per-node
+//     verdicts, which the parity suite enforces.
 //
 // Every driver — the schedulers, EvalBatch, Incremental and EvalTrials — is
 // built on one evaluation kernel (kernel.go): per-worker counters merged
@@ -178,18 +178,28 @@ type Stats struct {
 	// CacheShared reports that the evaluation ran against a caller-provided
 	// cross-run cache rather than a private one.
 	CacheShared bool
-	// Workers is the number of concurrent workers used.
+	// Workers is the number of concurrent workers used: the pool width of
+	// the Sharded scheduler, and under MessagePassing the kernel pool's
+	// width (GOMAXPROCS capped at Nodes), which runs both the round sweeps
+	// and the decide stage; the shard count under ShardedMP.
 	Workers int
 	// EarlyExit reports whether evaluation stopped before covering all
 	// nodes.
 	EarlyExit bool
-	// Messages and KnowledgeUnits are filled by the MessagePassing backend:
-	// point-to-point sends and total snapshot sizes of the flooding
-	// protocol.
+	// Messages and KnowledgeUnits are the message-passing runtimes'
+	// traffic, every delivered copy counted. Under MessagePassing they are
+	// the flooding protocol's point-to-point messages and the node
+	// addresses those carry; under ShardedMP, the halo ring copies sent and
+	// the ghost records those carry.
+	//
+	// Both message-passing runtimes fill Messages, KnowledgeUnits, Rounds
+	// and the message-fault counters (Dropped through IncompleteViews). A
+	// MessagePassing run that a done Options.Ctx stopped between rounds
+	// reports the counts of the rounds it ran.
 	Messages       int
 	KnowledgeUnits int
-	// Rounds is the number of synchronous rounds of the MessagePassing
-	// backend (equal to the horizon).
+	// Rounds is the number of synchronous rounds run: the horizon, unless
+	// the context stopped a MessagePassing run early.
 	Rounds int
 	// Crashes counts decider invocations that crashed (injected or genuine
 	// panics, recovered by the engine); Retries counts the re-attempts those
@@ -198,18 +208,21 @@ type Stats struct {
 	Crashes int
 	// Retries counts crash re-attempts (see Crashes).
 	Retries int
-	// Dropped, Duplicated, Delayed and Retransmits are filled by the
-	// MessagePassing backend under fault injection: messages lost after the
-	// retransmit budget, extra copies delivered, deliveries landing late,
-	// and retransmissions consumed.
+	// Dropped, Duplicated, Delayed and Retransmits count injected message
+	// faults: messages lost after the retransmit budget, extra copies
+	// delivered, deliveries landing late, and retransmissions consumed.
+	// MessagePassing rules on every (round, directed edge) message,
+	// ShardedMP on every halo ring of a shard-pair link (duplicates of the
+	// rings it sends only).
 	Dropped     int
 	Duplicated  int
 	Delayed     int
 	Retransmits int
-	// IncompleteViews counts nodes whose flooding gather was incomplete
-	// (dropped or delayed messages anywhere in their dependency cone) and
-	// that therefore fell back to extractor-based view evaluation —
-	// degraded but never wrong.
+	// IncompleteViews counts nodes whose gather was incomplete and that
+	// therefore fall back to extractor-based view evaluation — degraded but
+	// never wrong. Under MessagePassing these are the nodes with a dropped
+	// or delayed message anywhere in their dependency cone; under ShardedMP,
+	// the rim nodes it decided of shards that lost a halo ring.
 	IncompleteViews int
 	// Shards is the shard count of the ShardedMP backend (0 for every other
 	// scheduler).
@@ -259,10 +272,10 @@ type Options struct {
 	// polls it before each node's decide and stops deciding once it is done,
 	// returning Outcome{Accepted: false, Err: wrapping ctx.Err()}. This is
 	// how a serving layer propagates per-request deadlines into the engine.
-	// The message-passing backends also check it at launch; their rounds,
-	// once started, run to the end, since they run no decider code and a
-	// node that stopped sending would strand its neighbours. Nil means no
-	// deadline.
+	// The message-passing backends also check it at launch. MessagePassing
+	// checks it before every round too and stops the protocol between
+	// rounds, without deciding; ShardedMP's halo exchange, once started,
+	// runs to the end. Nil means no deadline.
 	Ctx context.Context
 	// EarlyExit lets the engine stop at the first No verdict. The Outcome
 	// then carries no per-node verdicts.

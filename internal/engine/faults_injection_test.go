@@ -323,6 +323,44 @@ func TestMessageFaultMatrixNeverWrong(t *testing.T) {
 	}
 }
 
+// On a 600-node cycle the flooding sweeps claim receivers in several
+// blocks, so on a pool wider than one worker the fault path's per-receiver
+// state (held-back delayed copies, the incomplete flags) is written from
+// several workers within one round. Verdicts must equal the fault-free
+// run's and the counters stay pinned, as in the matrix above; CI runs this
+// under the race detector.
+func TestMessageFaultsOnPooledSweeps(t *testing.T) {
+	l := testInstance(600)
+	dec := labelSumDecider()
+	dec.Horizon = 3
+	clean := engine.EvalOblivious(dec, l, engine.Options{})
+	// counts are Messages, KnowledgeUnits, Dropped, Duplicated, Delayed,
+	// Retransmits and IncompleteViews.
+	for _, c := range []struct {
+		seed  int64
+		model fault.MessageModel
+		want  [7]int
+	}{
+		{101, fault.MessageModel{DropRate: 0.4, RetransmitBudget: 1}, [7]int{2997, 7962, 603, 0, 0, 1497, 582}},
+		{103, fault.MessageModel{DuplicateRate: 0.3}, [7]int{5165, 15411, 0, 1565, 0, 0, 0}},
+		{104, fault.MessageModel{DelayRate: 0.3, MaxDelay: 2}, [7]int{3600, 8698, 0, 0, 1113, 0, 600}},
+		{105, fault.MessageModel{DropRate: 0.2, DuplicateRate: 0.2, DelayRate: 0.2, RetransmitBudget: 2}, [7]int{4649, 12039, 36, 1085, 664, 829, 589}},
+	} {
+		plan := &fault.Plan{Seed: c.seed, Message: &c.model}
+		out := engine.EvalOblivious(dec, l, engine.Options{Scheduler: engine.MessagePassing, Faults: plan})
+		if out.Err != nil {
+			t.Fatalf("%+v: %v", c.model, out.Err)
+		}
+		if !reflect.DeepEqual(out.Verdicts, clean.Verdicts) || out.Accepted != clean.Accepted {
+			t.Errorf("%+v: faulty MP verdicts diverged from fault-free", c.model)
+		}
+		s := out.Stats
+		if got := [7]int{s.Messages, s.KnowledgeUnits, s.Dropped, s.Duplicated, s.Delayed, s.Retransmits, s.IncompleteViews}; got != c.want {
+			t.Errorf("%+v: counters %v, want %v", c.model, got, c.want)
+		}
+	}
+}
+
 // Crash injection and message faults compose on the MP backend.
 func TestMessageAndCrashFaultsCompose(t *testing.T) {
 	l := testInstance(16)

@@ -42,8 +42,8 @@ type EdgeOp struct {
 // Options are honoured with three deviations, all forced by the residency:
 // EarlyExit is ignored (the session must keep every per-node verdict), Ctx is
 // ignored (repairs are O(ball), not instance-sized), and the MessagePassing
-// scheduler repairs sequentially (its goroutine-per-node flooding evaluates
-// whole instances; dirty subsets go through the functional pipeline).
+// scheduler repairs sequentially (its flooding protocol evaluates whole
+// instances; dirty subsets go through the functional pipeline).
 // Options.Cache and Options.Faults work exactly as in Eval: a shared cache
 // warms the session across restarts (cmd/decided attaches its verdict store
 // to one through the cache's load hook), and injected decider crashes

@@ -11,15 +11,17 @@ import (
 
 // This file is the engine's one evaluation kernel. The sequential and
 // sharded schedulers, EvalBatch, Incremental repairs and the decide stage of
-// the two message-passing runtimes are built from the same four parts:
+// the two message-passing runtimes are built from the same four parts (the
+// flooding runtime's round sweeps use the pool and counters too):
 //
 //   - counters: each worker tallies into its own counters and merges them
 //     into Stats once, when it finishes;
 //   - guarded: every decide runs under one recover boundary with a bounded
 //     retry loop, whatever builds the view it decides;
 //   - pool: one shared cursor hands out the indices of a work source (a node
-//     range, an instance list, a dirty list, a trial index) to up to width
-//     workers, inline on the calling goroutine at width 1;
+//     range, an instance list, a dirty list, a trial index, a block of
+//     flooding receivers) to up to width workers, inline on the calling
+//     goroutine at width 1;
 //   - commit and stop: workers record verdicts and latch the first No in the
 //     job, and job.outcome derives acceptance and Stats.EarlyExit from it.
 //
@@ -33,6 +35,7 @@ type counters struct {
 	evaluated, hits, inserted, crashes, retries int
 	// Message-passing runtimes only.
 	messages, units, incomplete, ghosts, haloBytes int
+	dropped, duplicated, delayed, retransmits      int
 	roundBytes, roundGhosts                        []int
 }
 
@@ -48,6 +51,10 @@ func (j *job) merge(c *counters) {
 	s.Messages += c.messages
 	s.KnowledgeUnits += c.units
 	s.IncompleteViews += c.incomplete
+	s.Dropped += c.dropped
+	s.Duplicated += c.duplicated
+	s.Delayed += c.delayed
+	s.Retransmits += c.retransmits
 	s.GhostNodes += c.ghosts
 	s.HaloBytes += c.haloBytes
 	for r, b := range c.roundBytes {

@@ -7,50 +7,53 @@ import (
 	"repro/internal/graph"
 )
 
-// This file is the operational backend of the engine: one goroutine per
-// node, flooding full-information snapshots for t synchronous rounds. After
-// t rounds each node has gathered (a superset of) its radius-t
-// neighbourhood; the backend then restricts the gathered knowledge to the
-// induced ball B(v, t) so the decider receives exactly the view
-// (G, x, Id) |> B(v, t) of the functional definition. The parity suite pins
-// this backend against the functional ones node for node (experiment E13
-// reports the cost gap).
-//
-// Rounds are per link, as in Awerbuch's α-synchronizer (J. ACM 32(4),
-// 1985), not behind a global barrier: every directed edge carries exactly
-// one envelope per round, and a node enters round r+1 once it holds each
-// neighbour's round-r envelope. A sender is therefore at most one round
-// ahead of any receiver, so a channel buffered for one envelope per link
-// cannot deadlock.
-//
-// Message faults ride in the same envelopes. An Injector rules on every
-// (round, directed edge) send — lost after a bounded retransmit budget,
-// duplicated, or delayed by d rounds — and the sender packs each envelope
-// with the copies its receiver absorbs that round: its on-time snapshot,
-// plus any duplicated or delayed copies now due. An envelope whose copies
-// were lost travels empty; the receiver absorbs what arrives and never
-// consults the injector. A lossless run is the empty fate plan: every copy
-// on time, nothing parked, every node clean.
-//
-// The degradation ladder keeps verdicts right under every fault mix. The
-// fate plan, computed before the protocol starts, calls a node clean when no
-// copy in its radius-t dependency cone was lost or late: a clean node has
-// gathered exactly its induced ball and decides the assembled view. Any
-// other node declares its view incomplete and decides the functional view
-// from a shared extractor instead, so message faults cost time, never
-// verdicts.
+// This file is the operational backend of the engine: the synchronous
+// flooding protocol, run for t rounds. After t rounds each node has gathered
+// (a superset of) its radius-t neighbourhood; the backend then restricts the
+// gathered knowledge to the induced ball B(v, t) so the decider receives
+// exactly the view (G, x, Id) |> B(v, t) of the functional definition. The
+// parity suite pins this backend against the functional ones node for node
+// (experiment E13 reports the cost gap).
 //
 // A node's knowledge is the set of hidden node addresses (never exposed to
 // deciders) it has heard of, held as one strictly ascending []int32. A
 // node's label, identifier and host row are fixed per address, so nothing
-// else needs to travel: view assembly reads them from the host. Two
-// pictures merge with a single two-pointer sweep over one column into a
-// double buffer, so the steady state allocates only the per-round
-// immutable snapshot each node publishes to its neighbours.
+// else needs to travel: view assembly reads them from the host.
 //
-// The node goroutines run only the t rounds. Once every one has finished,
-// the kernel's pool decides all nodes, one worker per CPU, each assembling
-// its nodes' views on its own extractor and reusable buffers.
+// Rounds are sweeps over receivers on the kernel's pool. Round r+1's set of
+// node w is its round-r set merged with the round-r set of every neighbour u
+// whose message u→w arrives on time, plus the delayed copies due at round r.
+// Workers claim receivers in fixed blocks, and a pool barrier separates
+// rounds, so every round reads only the sets of the round before. Union does
+// not depend on order, so the sets are those of any message schedule of the
+// synchronous protocol. Each round's sets are immutable once written: a set
+// nothing new reaches is its predecessor, and a merged set lives in its
+// worker's append-only arena, where a delayed copy can alias it for as long
+// as the copy is pending.
+//
+// Message faults are ruled on at the receiver, which consults the Injector
+// once per (round, directed edge) site: the message is lost after a bounded
+// retransmit budget, duplicated, or delayed by d rounds. The same pass
+// tallies the messages and knowledge units every delivered copy carries, the
+// four fault counters, and whether the receiver stays clean:
+//
+//	clean_0(w) = true
+//	clean_{r+1}(w) = clean_r(w) ∧ ∀(u,w)∈E: onTime_r(u→w) ∧ clean_r(u)
+//
+// — exactly "w's radius-(r+1) gather is the true ball". A lossless run has
+// no injector to consult: every copy on time, nothing pending, every node
+// clean.
+//
+// The degradation ladder keeps verdicts right under every fault mix. A clean
+// node has gathered exactly its induced ball and decides the assembled view.
+// Any other node declares its view incomplete and decides the functional
+// view from a shared extractor instead, so message faults cost time, never
+// verdicts.
+//
+// A done Options.Ctx stops the protocol between rounds: the run returns
+// before the next round, without deciding. Otherwise, once the last round
+// is in, the kernel's pool decides all nodes, one worker per CPU, each
+// assembling its nodes' views on its own extractor and reusable buffers.
 
 // mergeKnowledge writes the union of the ascending address sets a and b
 // into dst's buffer and returns it, growing the buffer only when a and b
@@ -79,28 +82,153 @@ func mergeKnowledge(dst, a, b []int32) []int32 {
 	return append(dst, b[k:]...)
 }
 
-// knowledgeBuf is one goroutine's working knowledge: a double buffer that
-// absorbs incoming snapshots by merging cur+src into spare and flipping, so
-// repeated merges churn two reusable arrays instead of allocating per merge.
-type knowledgeBuf struct {
-	cur, spare []int32
+// floodBlock is the number of receivers a sweep worker claims at once, so
+// the shared cursor is touched once per block rather than once per node.
+const floodBlock = 256
+
+// arenaChunk is the size, in addresses, of the chunks a sweep worker's arena
+// grows by; a set larger than a chunk gets a chunk of its own.
+const arenaChunk = 1 << 12
+
+// pendingCopy is a delayed copy held for its receiver until the round it is
+// due: its sender's set of the round it was sent in.
+type pendingCopy struct {
+	due  int
+	know []int32
 }
 
-// newNodeKnowledge seeds node v's initial picture: v alone.
-func newNodeKnowledge(v int) knowledgeBuf {
-	return knowledgeBuf{cur: []int32{int32(v)}}
+// flood is one flooding run's protocol state between rounds: every node's
+// round-r set and whether its gather is incomplete (the clean recursion's
+// complement), and the round-(r+1) arrays the next sweep writes.
+type flood struct {
+	j                          *job
+	cur, next                  [][]int32
+	incomplete, nextIncomplete []bool
+	// pending[w] holds the delayed copies w has yet to absorb; nil without
+	// an injector.
+	pending [][]pendingCopy
 }
 
-// absorb merges one incoming snapshot into the working knowledge.
-func (b *knowledgeBuf) absorb(src []int32) {
-	b.spare = mergeKnowledge(b.spare, b.cur, src)
-	b.cur, b.spare = b.spare, b.cur
+// sweeper is one sweep worker's state, kept from round to round.
+type sweeper struct {
+	c       counters
+	arena   []int32    // the current chunk: sets at its head, free space at its tail
+	srcs    [][]int32  // the sets the current receiver merges
+	scratch [2][]int32 // the double buffer of intermediate merges
 }
 
-// snapshot publishes an immutable exact-size copy of the working knowledge —
-// the one steady-state allocation of a protocol round (receivers keep
-// merging from it while the sender's working buffers move on).
-func (b *knowledgeBuf) snapshot() []int32 { return slices.Clone(b.cur) }
+// flood runs the protocol's t rounds as t sweeps over receivers on a pool of
+// the given width. It returns every node's gathered knowledge and whether
+// its gather is incomplete. ok is false when the context stopped the run
+// between rounds; Stats then counts the rounds it ran.
+func (j *job) flood(width int) (known [][]int32, incomplete []bool, ok bool) {
+	n, t := j.n, j.dec.Horizon
+	f := flood{j: j, cur: make([][]int32, n), next: make([][]int32, n),
+		incomplete: make([]bool, n), nextIncomplete: make([]bool, n)}
+	self := make([]int32, n)
+	for v := range self {
+		self[v] = int32(v)
+		f.cur[v] = self[v : v+1 : v+1]
+	}
+	if j.faults != nil {
+		f.pending = make([][]pendingCopy, n)
+	}
+	blocks := (n + floodBlock - 1) / floodBlock
+	ws := make([]sweeper, min(width, blocks))
+	var p pool
+	rounds := 0
+	for ; rounds < t && !j.checkCanceled(); rounds++ {
+		p.reset(blocks, len(ws))
+		p.run(func(w int) {
+			for b, more := p.claim(); more; b, more = p.claim() {
+				for v := b * floodBlock; v < min(n, (b+1)*floodBlock); v++ {
+					ws[w].receive(&f, rounds, v)
+				}
+			}
+		})
+		f.cur, f.next = f.next, f.cur
+		f.incomplete, f.nextIncomplete = f.nextIncomplete, f.incomplete
+	}
+	for w := range ws {
+		j.merge(&ws[w].c)
+	}
+	j.stats.Rounds = rounds
+	return f.cur, f.incomplete, rounds == t
+}
+
+// receive writes receiver w's round-(r+1) set: it rules on every message w
+// receives at round r, tallies what each carries, and merges the copies that
+// arrive now.
+func (s *sweeper) receive(f *flood, r, w int) {
+	j, c := f.j, &s.c
+	s.srcs = append(s.srcs[:0], f.cur[w])
+	incomplete := f.incomplete[w]
+	for _, u := range j.l.G.Neighbors(w) {
+		know := f.cur[u]
+		fate := j.messageFate(r, int(u), w)
+		c.retransmits += max(fate.Attempts-1, 0)
+		c.duplicated += fate.Duplicates
+		if !fate.Delivered {
+			c.dropped++
+			incomplete = true
+			continue
+		}
+		// Every copy the fate lets through counts as sent, even one due at
+		// or after round t, which no round absorbs.
+		copies := 1 + fate.Duplicates
+		c.messages += copies
+		c.units += copies * len(know)
+		if fate.Delay == 0 {
+			// One copy suffices: duplicates add nothing to a union.
+			s.srcs = append(s.srcs, know)
+			incomplete = incomplete || f.incomplete[u]
+			continue
+		}
+		c.delayed++
+		incomplete = true
+		if due := r + fate.Delay; due < j.dec.Horizon {
+			f.pending[w] = append(f.pending[w], pendingCopy{due: due, know: know})
+		}
+	}
+	if f.pending != nil {
+		held := f.pending[w][:0]
+		for _, p := range f.pending[w] {
+			if p.due == r {
+				s.srcs = append(s.srcs, p.know)
+			} else {
+				held = append(held, p)
+			}
+		}
+		f.pending[w] = held
+	}
+	if incomplete && r == j.dec.Horizon-1 {
+		c.incomplete++
+	}
+	f.nextIncomplete[w] = incomplete
+	f.next[w] = s.union()
+}
+
+// union merges the current receiver's sources into its next set. A receiver
+// nothing reached keeps its set as it is. Otherwise the intermediate merges
+// churn the scratch double buffer and the last one writes at the arena's
+// tail, capped at its length so that no append can reach the sets after it;
+// a set stays there until no round and no pending copy refers to its chunk.
+func (s *sweeper) union() []int32 {
+	acc, last := s.srcs[0], len(s.srcs)-1
+	if last == 0 {
+		return acc
+	}
+	for k := 1; k < last; k++ {
+		s.scratch[k%2] = mergeKnowledge(s.scratch[k%2], acc, s.srcs[k])
+		acc = s.scratch[k%2]
+	}
+	if need := len(acc) + len(s.srcs[last]); cap(s.arena)-len(s.arena) < need {
+		s.arena = make([]int32, 0, max(arenaChunk, need))
+	}
+	set := mergeKnowledge(s.arena[len(s.arena):], acc, s.srcs[last])
+	s.arena = s.arena[:len(s.arena)+len(set)]
+	return set[:len(set):len(set)]
+}
 
 // assembler builds gathered views for one decide worker. Its buffers and
 // extractor are reused from node to node; a view it returns is valid until
@@ -186,106 +314,12 @@ func (j *job) messageFate(round, from, to int) MessageFate {
 	return fate
 }
 
-// planFates is a flooding run's fate plan. It walks every (round, directed
-// edge) site once, before the protocol starts, tallies the deterministic
-// message faults and incomplete views into Stats, and returns which nodes
-// end the protocol clean: clean[v] holds when every copy in v's dependency
-// cone was on time, by the transitive recursion
-//
-//	clean_0(v) = true
-//	clean_{r+1}(v) = clean_r(v) ∧ ∀(u,v)∈E: onTime_r(u→v) ∧ clean_r(u)
-//
-// — exactly "v's radius-(r+1) gather is the true ball". Without an injector
-// every node is clean and every tally zero. The injector being a pure
-// function, the senders re-consulting the same sites later see the same
-// fates.
-func (j *job) planFates(t int) []bool {
-	n, s := j.n, &j.stats
-	clean := make([]bool, n)
-	for v := range clean {
-		clean[v] = true
-	}
-	if j.faults == nil {
-		return clean
-	}
-	next := make([]bool, n)
-	for r := 0; r < t; r++ {
-		copy(next, clean)
-		for u := 0; u < n; u++ {
-			for _, w := range j.l.G.Neighbors(u) {
-				fate := j.messageFate(r, u, int(w))
-				if fate.Attempts > 1 {
-					s.Retransmits += fate.Attempts - 1
-				}
-				if !fate.Delivered {
-					s.Dropped++
-				} else if fate.Delay > 0 {
-					s.Delayed++
-				}
-				s.Duplicated += fate.Duplicates
-				if !fate.Delivered || fate.Delay > 0 || !clean[u] {
-					next[w] = false
-				}
-			}
-		}
-		clean, next = next, clean
-	}
-	for _, ok := range clean {
-		if !ok {
-			s.IncompleteViews++
-		}
-	}
-	return clean
-}
-
-// envelope is one link's delivery for one round: every snapshot copy its
-// receiver absorbs that round. On a lossless run it is the sender's on-time
-// snapshot alone, and allocates nothing.
-type envelope struct {
-	now  []int32   // the sender's on-time snapshot; nil if lost or delayed
-	more [][]int32 // duplicates and delayed copies due this round
-}
-
-// parcel is a copy its sender holds back until the round it is due.
-type parcel struct {
-	link int // the receiver's position in the sender's row
-	due  int // the round whose envelope carries the copy
-	know []int32
-}
-
-// floodLinks wires one envelope channel per directed edge, indexed by the
-// edge's CSR slot: slot base[v]+i carries v's envelopes to its i-th
-// neighbour. rev[s] is the slot of the opposite direction, so v reads its
-// i-th neighbour's envelopes from chans[rev[base[v]+i]]. Rows are sorted
-// and visited in ascending order, so one cursor per row finds every reverse
-// slot in a single sweep.
-func floodLinks(g *graph.Graph) (base []int, chans []chan envelope, rev []int) {
-	n := g.N()
-	base = make([]int, n+1)
-	for v := 0; v < n; v++ {
-		base[v+1] = base[v] + g.Degree(v)
-	}
-	chans = make([]chan envelope, base[n])
-	rev = make([]int, base[n])
-	cursor := append([]int(nil), base[:n]...)
-	for v := 0; v < n; v++ {
-		for i, u := range g.Neighbors(v) {
-			s := base[v] + i
-			chans[s] = make(chan envelope, 1)
-			rev[s] = cursor[u]
-			cursor[u]++
-		}
-	}
-	return base, chans, rev
-}
-
 type mpScheduler struct{}
 
 func (mpScheduler) Name() string { return "message-passing" }
 
-// run floods for t rounds, one goroutine per node, then decides every node
-// on the kernel's pool; see the file comment for the protocol and the
-// degradation ladder.
+// run floods for t rounds, then decides every node on the kernel's pool;
+// see the file comment for the protocol and the degradation ladder.
 func (mpScheduler) run(j *job) {
 	// The flooding runtime assembles every view operationally and never
 	// deduplicates (see Options.Dedup).
@@ -293,79 +327,20 @@ func (mpScheduler) run(j *job) {
 	if j.checkCanceled() {
 		return
 	}
-	n, t := j.n, j.dec.Horizon
-	j.stats.Rounds = t
-	j.stats.Workers = n
-	clean := j.planFates(t)
-	base, chans, rev := floodLinks(j.l.G)
-
-	// known[v] is node v's gathered knowledge, written by its goroutine
-	// before wg.Done and read by the decide stage after wg.Wait.
-	known := make([][]int32, n)
-	var wg sync.WaitGroup
-	wg.Add(n)
-	for v := 0; v < n; v++ {
-		go func(v int) {
-			defer wg.Done()
-			var c counters
-			buf := newNodeKnowledge(v)
-			row := j.l.G.Neighbors(v)
-			var parked []parcel
-			for round := 0; round < t; round++ {
-				snap := buf.snapshot()
-				for i, u := range row {
-					var env envelope
-					// Every copy the fate lets through counts as sent, even
-					// one due at or after round t, which no envelope carries.
-					if fate := j.messageFate(round, v, int(u)); fate.Delivered {
-						copies := 1 + fate.Duplicates
-						c.messages += copies
-						c.units += copies * len(snap)
-						due := round + fate.Delay
-						if due == round {
-							env.now = snap
-							copies--
-						}
-						for ; copies > 0 && due < t; copies-- {
-							parked = append(parked, parcel{link: i, due: due, know: snap})
-						}
-					}
-					// Hand over the held-back copies due on this link now.
-					for k := 0; k < len(parked); {
-						if p := parked[k]; p.link == i && p.due == round {
-							env.more = append(env.more, p.know)
-							parked[k] = parked[len(parked)-1]
-							parked = parked[:len(parked)-1]
-						} else {
-							k++
-						}
-					}
-					chans[base[v]+i] <- env
-				}
-				for i := range row {
-					env := <-chans[rev[base[v]+i]]
-					if env.now != nil {
-						buf.absorb(env.now)
-					}
-					for _, k := range env.more {
-						buf.absorb(k)
-					}
-				}
-			}
-			known[v] = buf.cur
-			j.merge(&c)
-		}(v)
+	width := poolWidth(0, j.n)
+	j.stats.Workers = width
+	known, incomplete, ok := j.flood(width)
+	if !ok {
+		return
 	}
-	wg.Wait()
 
-	// The decide stage. Neighbours depended on every send above, so the
-	// protocol ran to completion; a node is skipped once the evaluation has
-	// stopped. Evaluated counts a node once, however many attempts it took.
+	// The decide stage. A node is skipped once the evaluation has stopped.
+	// Evaluated counts a node once, however many attempts it took.
 	var (
 		p        pool
 		fallback fallbackExtractor
 	)
-	p.reset(n, poolWidth(0, n))
+	p.reset(j.n, width)
 	p.run(func(int) {
 		var c counters
 		// The extractor is rebound to each known subgraph, so it starts on
@@ -375,7 +350,7 @@ func (mpScheduler) run(j *job) {
 		full := func(v int) Verdict { return fallback.decide(j, v) }
 		for v, more := p.claim(); more && !j.stop(); v, more = p.claim() {
 			decide := gathered
-			if !clean[v] {
+			if incomplete[v] {
 				decide = full
 			}
 			verdict, ok := j.guarded(&c, v, decide)

@@ -7,48 +7,41 @@ import (
 	"repro/internal/graph"
 )
 
-// Message-passing benchmarks: the flooding knowledge machinery (the
-// per-round merge/snapshot discipline over sets of node addresses) and the
-// sharded halo-exchange runtime against the per-node flooding protocol.
+// Message-passing benchmarks: the flooding runtime's round sweep and the
+// sharded halo-exchange runtime against the flooding protocol.
 
 // BenchmarkMPRound pins the allocation discipline of the round machinery:
-// one op is a full t-round synchronous gather on a cycle, simulated
-// sequentially so goroutine scheduling stays out of the measurement. The
-// double-buffered merge reuses its arrays, so allocs/op is dominated by the
-// per-round snapshots plus amortised buffer growth — linear in n·t, not
-// quadratic in merged knowledge volume. The CI gate pins allocs/op at
-// 12288, 6 per node·round; knowledge that carried each known node's row,
-// label and identifier took 17.5, and per-edge maps several times more.
+// one op is the production sweep (job.flood) gathering every node's radius-t
+// knowledge on a cycle at n=512, t=4, on the pool width MessagePassing
+// uses. Sets are merged into per-worker append-only arenas and a set nothing
+// new reaches is kept as it is, so allocs/op is a handful of arena chunks,
+// scratch buffers and per-round pool goroutines, independent of how many
+// merges a round makes. The CI gate pins allocs/op at 512, one per node per
+// whole gather.
 func BenchmarkMPRound(b *testing.B) {
 	const n, t = 512, 4
 	l := graph.UniformlyLabeled(graph.Cycle(n), "u")
+	j, err := newJob(cheapDecider(t), l, nil, Options{Scheduler: MessagePassing})
+	if err != nil {
+		b.Fatal(err)
+	}
+	width := poolWidth(0, n)
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		bufs := make([]knowledgeBuf, n)
-		for v := range bufs {
-			bufs[v] = newNodeKnowledge(v)
-		}
-		snaps := make([][]int32, n)
-		for r := 0; r < t; r++ {
-			for v := range bufs {
-				snaps[v] = bufs[v].snapshot()
-			}
-			for v := 0; v < n; v++ {
-				for _, u := range l.G.Neighbors(v) {
-					bufs[v].absorb(snaps[u])
-				}
-			}
+		if _, _, ok := j.flood(width); !ok {
+			b.Fatal("an evaluation without a context stopped")
 		}
 	}
 }
 
 // BenchmarkMPCycle is the sharded-vs-legacy gate pair on the issue's pinned
 // workload: a uniform cycle with n=10^5 and horizon 8. The legacy arm runs
-// the per-node flooding protocol (n goroutines, per-edge channels, radius-t
-// snapshot gathering); the sharded arm partitions the cycle, exchanges only
-// delta-encoded halo rings, and evaluates on shard-local extractors. CI
-// gates sharded ≤ 0.5× legacy ns/op in the same artifact.
+// the flooding protocol (t sweeps gathering every node's radius-t ball,
+// then a decide of every assembled view); the sharded arm partitions the
+// cycle, exchanges only delta-encoded halo rings, and evaluates on
+// shard-local extractors. CI gates sharded ≤ 0.5× legacy ns/op in the same
+// artifact.
 func BenchmarkMPCycle(b *testing.B) {
 	l := graph.UniformlyLabeled(graph.Cycle(100_000), "u")
 	dec := cheapDecider(8)

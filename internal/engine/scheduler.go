@@ -24,9 +24,9 @@ var Sequential Scheduler = seqScheduler{}
 var Sharded Scheduler = shardedScheduler{}
 
 // MessagePassing evaluates by actually running the synchronous flooding
-// protocol with one goroutine per node — the operational definition of a
-// local algorithm, kept as a backend so its equivalence with the functional
-// backends stays continuously tested.
+// protocol, its t rounds as t sweeps over receivers on the kernel's pool —
+// the operational definition of a local algorithm, kept as a backend so its
+// equivalence with the functional backends stays continuously tested.
 var MessagePassing Scheduler = mpScheduler{}
 
 // ShardedWith returns a Sharded scheduler with an explicit worker cap

@@ -215,7 +215,7 @@ func RunE12(cfg Config) (*Result, error) {
 }
 
 // RunE13 is the model ablation, now over all three engine backends: the
-// functional (sequential and sharded) evaluation paths and the goroutine
+// functional (sequential and sharded) evaluation paths and the flooding
 // message-passing runtime must produce identical per-node verdicts; their
 // relative cost is reported.
 func RunE13(cfg Config) (*Result, error) {

@@ -53,7 +53,7 @@ func Registry() []Experiment {
 		{ID: "E10", Title: "Corollary 1: randomised Id-oblivious decider success probability", Run: RunE10},
 		{ID: "E11", Title: "Extension (§1.3): NLD* = NLD via guessed-identifier certificates", Run: RunE11},
 		{ID: "E12", Title: "Extension (§1.3): LD* = LD for hereditary languages (oblivious lift)", Run: RunE12},
-		{ID: "E13", Title: "Ablation: view-based vs goroutine message-passing LOCAL runtime", Run: RunE13},
+		{ID: "E13", Title: "Ablation: view-based vs message-passing LOCAL runtime", Run: RunE13},
 		{ID: "E14", Title: "Extension (§3.3): the hereditary randomisation threshold fails for general languages", Run: RunE14},
 		{ID: "E15", Title: "Extension (§1.3): the PO model — constructive power without size information", Run: RunE15},
 		{ID: "E16", Title: "Self-stabilization: verdict recovery under label corruption and healing", Run: RunE16},

@@ -58,8 +58,8 @@ func (p *Plan) CrashDecide(node, attempt int) bool {
 }
 
 // MessageFate resolves the fate of round r's message from → to — a pure
-// function of (seed, round, from, to). The engine consults it both in its
-// precomputed fate plan and at each send; purity guarantees the two agree.
+// function of (seed, round, from, to), per the engine's injector contract,
+// so a replay rules on every message as the first run did.
 func (p *Plan) MessageFate(round, from, to int) engine.MessageFate {
 	fate := engine.MessageFate{Delivered: true, Attempts: 1}
 	if p == nil || p.Message == nil {

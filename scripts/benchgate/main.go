@@ -185,11 +185,10 @@ var gates = []group{
 		name: "mpround",
 		runs: []run{{pkg: "./internal/engine/", bench: "BenchmarkMPRound", benchtime: "3x", count: 1, benchmem: true}},
 		rows: []row{
-			// Knowledge as one column of node addresses keeps a full
-			// t-round gather on the n=512, t=4 cycle within 6 allocations
-			// per node-round (12288); copying each known node's row, label
-			// and identifier through five columns took 17.5 (35840).
-			{bench: "BenchmarkMPRound", unit: "allocs/op", max: bound(12288)},
+			// The round sweep merges into per-worker arenas, so a full
+			// t-round gather on the n=512, t=4 cycle takes at most one
+			// allocation per node (512), whatever the merge count.
+			{bench: "BenchmarkMPRound", unit: "allocs/op", max: bound(512)},
 		},
 	},
 }
