@@ -111,9 +111,9 @@ func main() {
 
 func run(args []string) error {
 	fs := flag.NewFlagSet("localsim", flag.ContinueOnError)
-	graphKind := fs.String("graph", "cycle", "cycle | path | star | grid | tree | pyramid")
+	graphKind := fs.String("graph", "cycle", "cycle | path | star | grid | tree | pyramid | random")
 	n := fs.Int("n", 8, "size parameter")
-	deciderName := fs.String("decider", "3col", "3col | mis | degree2 | triangle-free | coin")
+	deciderName := fs.String("decider", "3col", "3col | mis | degree2 | triangle-free | forest | coin")
 	seed := fs.Int64("seed", 1, "label and coin seed")
 	backend := fs.String("backend", "sequential", "sequential | sharded | mp")
 	shards := fs.Int("shards", 0, "run the sharded halo-exchange runtime with this many shards (0 = off; level-contiguous partitioning for pyramid/tree, BFS-blocked otherwise)")

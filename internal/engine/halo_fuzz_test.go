@@ -129,7 +129,7 @@ func TestImportHaloCorruptRing(t *testing.T) {
 		t.Fatal(err)
 	}
 	link := func(corruptRound int, rings ...[]int32) *haloLink {
-		hl := &haloLink{ch: make(chan haloMsg, len(rings))}
+		hl := &haloLink{}
 		dict := map[graph.Label]int{}
 		for r, nodes := range rings {
 			ring := haloRing{round: r, nodes: nodes}
@@ -137,9 +137,7 @@ func TestImportHaloCorruptRing(t *testing.T) {
 			if r == corruptRound {
 				payload = payload[:len(payload)-1]
 			}
-			hl.sends = append(hl.sends, haloSend{ring: ring, copies: 1})
-			hl.expect++
-			hl.ch <- haloMsg{round: r, payload: payload}
+			hl.sends = append(hl.sends, haloSend{ring: ring, copies: 1, payload: payload})
 		}
 		return hl
 	}

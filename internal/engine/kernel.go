@@ -12,7 +12,8 @@ import (
 // This file is the engine's one evaluation kernel. The sequential and
 // sharded schedulers, EvalBatch, Incremental repairs and the decide stage of
 // the two message-passing runtimes are built from the same four parts (the
-// flooding runtime's round sweeps use the pool and counters too):
+// flooding runtime's round sweeps and ShardedMP's encode stage use the pool
+// and counters too):
 //
 //   - counters: each worker tallies into its own counters and merges them
 //     into Stats once, when it finishes;
@@ -21,7 +22,9 @@ import (
 //   - pool: one shared cursor hands out the indices of a work source (a node
 //     range, an instance list, a dirty list, a trial index, a block of
 //     flooding receivers) to up to width workers, inline on the calling
-//     goroutine at width 1;
+//     goroutine at width 1. ShardedMP's stages run one worker per shard
+//     and claim nothing. pool.run is the only place the engine starts
+//     goroutines;
 //   - commit and stop: workers record verdicts and latch the first No in the
 //     job, and job.outcome derives acceptance and Stats.EarlyExit from it.
 //

@@ -230,9 +230,11 @@ func (s *sweeper) union() []int32 {
 	return set[:len(set):len(set)]
 }
 
-// assembler builds gathered views for one decide worker. Its buffers and
-// extractor are reused from node to node; a view it returns is valid until
-// its next one.
+// assembler builds sub-host views for one decide worker of either
+// message-passing runtime: a flooding node's known subgraph, or a shard's
+// owned nodes plus ghosts. Its buffers and extractor are reused from host
+// to host; a view it returns is valid until its next one, and a sub-host
+// until the next host call. The zero value is ready to use.
 type assembler struct {
 	x       *graph.ViewExtractor
 	offsets []int32
@@ -240,59 +242,96 @@ type assembler struct {
 	labels  []graph.Label
 	ids     []int
 	l       graph.Labeled
-	in      graph.Instance
 }
 
-// view restricts the knowledge known to the induced radius-t ball around
-// centre and packages it as a View matching graph.ViewOf. The known
-// subgraph is built by filtering each known node's host row to the known
-// set — a monotone dense renumbering, so BFS discovery order (and with it
-// the exact view layout) is preserved — and the ball restriction is the
-// extractor's, rebound to the known subgraph.
-func (a *assembler) view(j *job, known []int32, centre int) *graph.View {
-	a.offsets = append(a.offsets[:0], 0)
-	a.nbrs, a.labels, a.ids = a.nbrs[:0], a.labels[:0], a.ids[:0]
-	for _, u := range known {
-		for _, w := range j.l.G.Neighbors(int(u)) {
-			if li, ok := slices.BinarySearch(known, w); ok {
+// host builds the sub-host induced on the ascending address set ext and
+// binds the extractor to it. A node's label, identifier and row come from
+// its record in ghosts (ascending by node) when it has one, and from the
+// host otherwise. Each row is filtered to ext: a monotone dense
+// renumbering, so BFS discovery order (and with it the exact view layout)
+// is preserved. A reference outside ext is outside every ball the caller
+// extracts.
+func (a *assembler) host(j *job, ext []int32, ghosts []ghostRec) {
+	k := len(ext)
+	a.offsets = slices.Grow(a.offsets[:0], k+1)[:k+1]
+	a.labels = slices.Grow(a.labels[:0], k)[:k]
+	if j.in != nil {
+		a.ids = slices.Grow(a.ids[:0], k)[:k]
+	}
+	// The filtered rows go to a.nbrs, sized first to their unfiltered total.
+	bound, gs := 0, ghosts
+	for _, v := range ext {
+		if len(gs) > 0 && gs[0].node == v {
+			bound, gs = bound+len(gs[0].row), gs[1:]
+		} else {
+			bound += j.l.G.Degree(int(v))
+		}
+	}
+	a.offsets[0], a.nbrs = 0, slices.Grow(a.nbrs[:0], bound)
+	for i, v := range ext {
+		var row []int32
+		if len(ghosts) > 0 && ghosts[0].node == v {
+			row, a.labels[i] = ghosts[0].row, ghosts[0].label
+			if j.in != nil {
+				a.ids[i] = ghosts[0].id
+			}
+			ghosts = ghosts[1:]
+		} else {
+			row, a.labels[i] = j.l.G.Neighbors(int(v)), j.l.Labels[v]
+			if j.in != nil {
+				a.ids[i] = j.in.IDs[v]
+			}
+		}
+		for _, u := range row {
+			if li, ok := slices.BinarySearch(ext, u); ok {
 				a.nbrs = append(a.nbrs, int32(li))
 			}
 		}
-		a.offsets = append(a.offsets, int32(len(a.nbrs)))
-		a.labels = append(a.labels, j.l.Labels[u])
-		if j.in != nil {
-			a.ids = append(a.ids, j.in.IDs[u])
-		}
+		a.offsets[i+1] = int32(len(a.nbrs))
 	}
-	// The graph aliases a.offsets, which the next assembly overwrites only
-	// after this view's decide has returned.
+	// The graph aliases a.offsets, which the next host call overwrites only
+	// after the decides on this sub-host have returned.
 	a.l = graph.Labeled{G: graph.BuildCSR(a.offsets, func(dst []int32) { copy(dst, a.nbrs) }), Labels: a.labels}
+	if a.x == nil {
+		// Built on the first sub-host, so its BFS buffers are sized to
+		// sub-hosts, never to the whole host.
+		a.x = graph.NewViewExtractor(&a.l)
+	}
 	if j.in == nil {
 		a.x.Reset(&a.l)
 	} else {
 		// The identifier column is pairwise distinct, as on the host, so
 		// the Instance is built directly instead of through NewInstance's
 		// validating copy.
-		a.in = graph.Instance{Labeled: &a.l, IDs: a.ids}
-		a.x.ResetInstance(&a.in)
+		a.x.ResetInstance(&graph.Instance{Labeled: &a.l, IDs: a.ids})
 	}
-	centreIdx, ok := slices.BinarySearch(known, int32(centre))
-	if !ok {
-		panic("engine: flooding centre not in its own knowledge")
-	}
-	view := a.x.At(centreIdx, j.dec.Horizon)
-	// The extractor numbered Original against the known subgraph; rebind it
-	// to host addresses (in place — the slice is extractor scratch, reset on
-	// the next extraction).
+}
+
+// at extracts the radius-t view of node li of the sub-host built on ext,
+// and rebinds View.Original from sub-host indices to host addresses (in
+// place: the slice is extractor scratch, reset on the next extraction).
+func (a *assembler) at(j *job, ext []int32, li int) *graph.View {
+	view := a.x.At(li, j.dec.Horizon)
 	for i, w := range view.Original {
-		view.Original[i] = int(known[w])
+		view.Original[i] = int(ext[w])
 	}
 	return view
 }
 
+// view restricts the knowledge known to the induced radius-t ball around
+// centre and packages it as a View matching graph.ViewOf: the known
+// subgraph, then the extractor's ball restriction on it.
+func (a *assembler) view(j *job, known []int32, centre int) *graph.View {
+	a.host(j, known, nil)
+	li, ok := slices.BinarySearch(known, int32(centre))
+	if !ok {
+		panic("engine: flooding centre not in its own knowledge")
+	}
+	return a.at(j, known, li)
+}
+
 // maxMessageDuplicates clamps an injector's per-message duplicate count, so
-// one send fans out to a bounded number of copies (ShardedMP buffers every
-// copy a halo link carries).
+// one send fans out to a bounded number of copies.
 const maxMessageDuplicates = 3
 
 // messageFate resolves one directed message's fate, normalised: no injector
@@ -343,9 +382,7 @@ func (mpScheduler) run(j *job) {
 	p.reset(j.n, width)
 	p.run(func(int) {
 		var c counters
-		// The extractor is rebound to each known subgraph, so it starts on
-		// an empty host instead of sizing its BFS buffers to this one.
-		a := assembler{x: graph.NewViewExtractor(&graph.Labeled{G: graph.New(0)})}
+		var a assembler
 		gathered := func(v int) Verdict { return j.decideView(a.view(j, known[v], v), v) }
 		full := func(v int) Verdict { return fallback.decide(j, v) }
 		for v, more := p.claim(); more && !j.stop(); v, more = p.claim() {

@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
 	"repro/internal/graph"
@@ -67,6 +69,80 @@ func TestFloodingCountsClosedForm(t *testing.T) {
 			}
 			if s.Rounds != horizon {
 				t.Errorf("%s t=%d: %d rounds, want %d", h.name, horizon, s.Rounds, horizon)
+			}
+		}
+	}
+}
+
+// TestShardedMPCountsClosedForm pins lossless ShardedMP's exchange to the
+// balls around each shard. Shard s imports every node u it does not own
+// with d(u) = dist(u, Owned(s)) ≤ t, once, as a ghost record in the ring of
+// round d(u)−1 on the link from u's owner, and each nonempty ring is one
+// message. The distances come from a single-source BFS from every node,
+// not from the runtime's multi-source halo search; only the partition is
+// the runtime's own.
+func TestShardedMPCountsClosedForm(t *testing.T) {
+	hosts := []struct {
+		name string
+		l    *graph.Labeled
+	}{
+		{"cycle", graph.UniformlyLabeled(graph.Cycle(50), "u")},
+		{"pyramid", graph.UniformlyLabeled(tree.NewPyramid(3).G, "")},
+		{"random", graph.UniformlyLabeled(graph.Random(60, 0.08, 7), "u")},
+	}
+	for _, h := range hosts {
+		g := h.l.G
+		from := make([][]int, g.N()) // from[v][u] = dist(v, u), -1 when unreachable
+		for v := range from {
+			from[v] = g.BFSFrom(v)
+		}
+		for _, strategy := range []graph.PartitionStrategy{graph.PartitionBFSBlocked, graph.PartitionLevelContiguous} {
+			for p := 1; p <= 5; p++ {
+				part := graph.NewPartition(g, p, strategy)
+				// dist[s][u] = dist(u, Owned(s)), -1 when unreachable.
+				dist := make([][]int, part.Shards())
+				for s := range dist {
+					dist[s] = slices.Repeat([]int{-1}, g.N())
+					for _, v := range part.Owned(s) {
+						for u, d := range from[v] {
+							if d >= 0 && (dist[s][u] < 0 || d < dist[s][u]) {
+								dist[s][u] = d
+							}
+						}
+					}
+				}
+				for horizon := 0; horizon <= 4; horizon++ {
+					name := fmt.Sprintf("%s %v p=%d t=%d", h.name, strategy, p, horizon)
+					type ring struct{ to, from, d int }
+					ghosts, perRound, rings := 0, make([]int, horizon), map[ring]bool{}
+					for s := range dist {
+						for u, d := range dist[s] {
+							if d < 1 || d > horizon {
+								continue // owned, unreachable or too far
+							}
+							ghosts++
+							perRound[d-1]++
+							rings[ring{s, part.ShardOf(u), d}] = true
+						}
+					}
+					out := EvalOblivious(cheapDecider(horizon), h.l, Options{Scheduler: ShardedMPPartitioned(p, strategy)})
+					if out.Err != nil {
+						t.Fatalf("%s: %v", name, out.Err)
+					}
+					s := out.Stats
+					if s.GhostNodes != ghosts || s.KnowledgeUnits != ghosts {
+						t.Errorf("%s: GhostNodes %d, KnowledgeUnits %d, want %d ghosts", name, s.GhostNodes, s.KnowledgeUnits, ghosts)
+					}
+					if !slices.Equal(s.RoundGhostNodes, perRound) {
+						t.Errorf("%s: RoundGhostNodes %v, want %v by distance", name, s.RoundGhostNodes, perRound)
+					}
+					if s.Messages != len(rings) {
+						t.Errorf("%s: %d messages, want %d (shard, owner, distance) rings", name, s.Messages, len(rings))
+					}
+					if s.Rounds != horizon {
+						t.Errorf("%s: %d rounds, want %d", name, s.Rounds, horizon)
+					}
+				}
 			}
 		}
 	}

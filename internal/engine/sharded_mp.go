@@ -1,23 +1,23 @@
 package engine
 
 import (
+	"cmp"
 	"encoding/binary"
 	"fmt"
 	"runtime"
 	"slices"
-	"sort"
-	"sync"
 
 	"repro/internal/graph"
 )
 
 // This file is the sharded message-passing runtime: the host graph is
 // partitioned into p shards (graph.Partition), each shard runs as one worker
-// owning its slice of the instance — its nodes' CSR rows, its own
-// ViewExtractor arena, and (through the fingerprint striping of the shared
-// ViewCache) its working set of the 64 cache stripes — and the only data
-// that ever crosses a shard boundary is the halo: the depth-t boundary ball
-// each shard needs to complete the radius-t views of its rim nodes.
+// of the kernel's pool owning its slice of the instance — its nodes' CSR
+// rows, its own assembler and extractor, and (through the fingerprint
+// striping of the shared ViewCache) its working set of the 64 cache
+// stripes — and the only data that ever crosses a shard boundary is the
+// halo: the depth-t boundary ball each shard needs to complete the radius-t
+// views of its rim nodes.
 //
 // The exchange is round-structured like the flooding protocol, but with no
 // transitive dependency: the ghost nodes a shard imports are owned by the
@@ -29,6 +29,13 @@ import (
 // and adjacency rows gap-coded from the node id. Sent bytes and ghost-node
 // counts are tallied per round into Stats — the shard-boundary
 // communication cost the related-work communication games measure.
+//
+// After a single-threaded plan phase (partition, halos, ring schedule,
+// fates), the run is two stages on the pool, one worker per shard. In the
+// encode stage each shard serialises the rings of its out-links; after the
+// pool's barrier, in the decide stage, each shard decodes its in-links'
+// rings, builds its sub-host with the flooding runtime's assembler and
+// decides its owned nodes.
 //
 // Soundness of local evaluation (DESIGN.md §9): for an owned node v, every
 // node of B(v, t) lies in owned(s) ∪ ghost(s), every node BFS expands
@@ -46,10 +53,11 @@ import (
 // wrong); interior nodes, whose balls never leave the shard, still evaluate
 // locally.
 
-// ShardedMP evaluates on a partition-based worker pool: p shards exchanging
-// delta-encoded halo (ghost-node) rings over per-shard-pair channels, then
-// deciding their owned nodes on shard-local extractors. p defaults to
-// GOMAXPROCS; partitioning defaults to BFS-blocked.
+// ShardedMP evaluates on a partition of the host into p shards, one pool
+// worker each: the shards exchange delta-encoded halo (ghost-node) rings
+// over per-shard-pair links, then decide their owned nodes on shard-local
+// sub-hosts. p defaults to GOMAXPROCS; partitioning defaults to
+// BFS-blocked.
 var ShardedMP Scheduler = shardedMPScheduler{}
 
 // ShardedMPWith returns a ShardedMP scheduler with an explicit shard count
@@ -86,27 +94,18 @@ type haloRing struct {
 	nodes []int32
 }
 
-// haloSend is a scheduled transmission after fate resolution.
+// haloSend is a scheduled transmission after fate resolution. The sender's
+// encode stage fills payload; the receiver's decide stage reads it.
 type haloSend struct {
-	ring   haloRing
-	copies int // 1 + duplicates
-}
-
-// haloMsg is one transmitted copy on a link channel.
-type haloMsg struct {
-	round   int
+	ring    haloRing
+	copies  int // 1 + duplicates
 	payload []byte
 }
 
-// haloLink is one ordered shard pair's exchange plan. Both endpoints read
-// it; it is immutable once planned.
+// haloLink is one ordered shard pair's transmissions, ascending by round.
+// Its plan is immutable once made; only the encode stage writes payloads.
 type haloLink struct {
-	from, to int
-	rings    []haloRing // scheduled rings, ascending round
-	sends    []haloSend // rings that will actually be transmitted, ascending round
-	expect   int        // total copies the receiver must drain
-	lost     bool       // some scheduled ring never arrives: receiver degrades
-	ch       chan haloMsg
+	sends []haloSend
 }
 
 func (s shardedMPScheduler) run(j *job) {
@@ -150,189 +149,132 @@ func (s shardedMPScheduler) run(j *job) {
 	}
 	inLinks := make([][]*haloLink, p)
 	outLinks := make([][]*haloLink, p)
-	degraded := make([]bool, p)
+	degraded := make([]bool, p) // some scheduled ring never arrives: the receiver degrades
 	for from := 0; from < p; from++ {
 		if ringNodes[from] == nil {
 			continue
 		}
 		for to := 0; to < p; to++ {
-			var rings []haloRing
+			var l haloLink
 			for r, nodes := range ringNodes[from][to] {
-				if len(nodes) > 0 {
-					rings = append(rings, haloRing{round: r, nodes: nodes})
+				if len(nodes) == 0 {
+					continue
 				}
-			}
-			if len(rings) == 0 {
-				continue
-			}
-			l := &haloLink{from: from, to: to, rings: rings}
-			for _, ring := range rings {
-				fate := j.messageFate(ring.round, from, to)
+				fate := j.messageFate(r, from, to)
 				if fate.Attempts > 1 {
 					j.stats.Retransmits += fate.Attempts - 1
 				}
 				if !fate.Delivered {
 					j.stats.Dropped++
-					l.lost = true
+					degraded[to] = true
 					continue
 				}
 				if fate.Delay > 0 {
 					j.stats.Delayed++
-					if ring.round+fate.Delay >= t {
+					if r+fate.Delay >= t {
 						// Arrives after the protocol's last round: lost.
-						l.lost = true
+						degraded[to] = true
 						continue
 					}
 				}
 				j.stats.Duplicated += fate.Duplicates
-				l.sends = append(l.sends, haloSend{ring: ring, copies: 1 + fate.Duplicates})
-				l.expect += 1 + fate.Duplicates
+				l.sends = append(l.sends, haloSend{ring: haloRing{round: r, nodes: nodes}, copies: 1 + fate.Duplicates})
 			}
-			l.ch = make(chan haloMsg, l.expect)
-			outLinks[from] = append(outLinks[from], l)
-			inLinks[to] = append(inLinks[to], l)
-			if l.lost {
-				degraded[to] = true
+			if len(l.sends) > 0 {
+				outLinks[from] = append(outLinks[from], &l)
+				inLinks[to] = append(inLinks[to], &l)
 			}
 		}
 	}
 	withIDs := j.in != nil
-
-	var (
-		wg       sync.WaitGroup
-		fallback fallbackExtractor
-	)
 	j.stats.RoundHaloBytes = make([]int, t)
 	j.stats.RoundGhostNodes = make([]int, t)
-	wg.Add(p)
-	for sh := 0; sh < p; sh++ {
-		go func(sh int) {
-			defer wg.Done()
-			c := counters{roundBytes: make([]int, t), roundGhosts: make([]int, t)}
+	var stages pool
+	stages.reset(p, p)
 
-			// Send loop: per round, encode and transmit this shard's due
-			// rings. Channels are buffered for every copy a link can carry,
-			// so sends never block and the rounds need no barrier — halo data
-			// is never relayed, so there is no transitive dependency between
-			// rounds.
-			encDicts := make([]map[graph.Label]int, len(outLinks[sh]))
-			for i := range encDicts {
-				encDicts[i] = make(map[graph.Label]int)
-			}
-			for round := 0; round < t; round++ {
-				for li, l := range outLinks[sh] {
-					for _, snd := range l.sends {
-						if snd.ring.round != round {
-							continue
-						}
-						payload := encodeHaloRing(j, encDicts[li], snd.ring, withIDs)
-						for k := 0; k < snd.copies; k++ {
-							l.ch <- haloMsg{round: round, payload: payload}
-							c.messages++
-							c.units += len(snd.ring.nodes)
-							c.haloBytes += len(payload)
-							c.roundBytes[round] += len(payload)
-						}
-					}
-				}
-			}
-
-			ghosts, corrupt := importHalo(inLinks[sh], withIDs, &c)
-			lost := degraded[sh] || corrupt
-
-			// Assemble the shard-local sub-host: owned nodes plus imported
-			// ghosts, monotone-renumbered, rows filtered to the local set.
-			own := part.Owned(sh)
-			sort.Slice(ghosts, func(i, k int) bool { return ghosts[i].node < ghosts[k].node })
-			ext := make([]int32, 0, len(own)+len(ghosts))
-			gi := 0
-			for _, v := range own {
-				for gi < len(ghosts) && ghosts[gi].node < v {
-					ext = append(ext, ghosts[gi].node)
-					gi++
-				}
-				ext = append(ext, v)
-			}
-			for ; gi < len(ghosts); gi++ {
-				ext = append(ext, ghosts[gi].node)
-			}
-			local := buildLocalHost(j, ext, ghosts, withIDs)
-			var x *graph.ViewExtractor
-			if withIDs {
-				x = graph.NewInstanceViewExtractor(local.instance)
-			} else {
-				x = graph.NewViewExtractor(local.labeled)
-			}
-
-			// Decide owned nodes in ascending host order. A degraded shard
-			// routes its rim nodes through the shared full-host fallback
-			// extractor; interior balls never leave the shard and stay local.
-			var rim []int32 // the nodes that fall back: none unless degraded
-			if lost {
-				rim = rims[sh]
-			}
-			for _, v32 := range own {
-				v := int(v32)
-				if j.stop() {
-					break
-				}
-				var body func(v int) Verdict
-				if _, onRim := slices.BinarySearch(rim, v32); onRim {
-					c.incomplete++
-					body = func(v int) Verdict {
-						c.evaluated++
-						return fallback.decide(j, v)
-					}
-				} else {
-					li, found := slices.BinarySearch(ext, v32)
-					if !found {
-						panic("engine: sharded-mp owned node missing from local host")
-					}
-					body = func(v int) Verdict {
-						view := x.At(li, t)
-						// Rebind Original from local-host indices to host
-						// addresses (in place — extractor scratch).
-						for i, w := range view.Original {
-							view.Original[i] = int(ext[w])
-						}
-						return j.cachedVerdict(&c, view, v)
-					}
-				}
-				verdict, ok := j.guarded(&c, v, body)
-				j.commit(v, verdict, ok)
-			}
-			j.merge(&c)
-		}(sh)
-	}
-	wg.Wait()
-}
-
-// importHalo drains a shard's incoming links and decodes their rings into
-// ghost records, tallying them into c. Unique rings decode in
-// ascending-round order per link, which is exactly the order the sender
-// grew its label dictionary in, so the per-link dictionaries stay in sync;
-// lost rings were never encoded and cannot desynchronise them. A ring that
-// fails to decode is lost like a dropped one, and so is the rest of its
-// link, since later rings may refer to dictionary entries it failed to
-// add; corrupt reports that this happened.
-func importHalo(links []*haloLink, withIDs bool, c *counters) (ghosts []ghostRec, corrupt bool) {
-	for _, l := range links {
-		byRound := make(map[int][]byte, len(l.sends))
-		for got := 0; got < l.expect; got++ {
-			m := <-l.ch
-			if _, dup := byRound[m.round]; !dup {
-				byRound[m.round] = m.payload
+	// Encode stage: each shard serialises the rings of each of its
+	// out-links in ascending round, the order the receiver decodes them in,
+	// against the link's label dictionary. Every copy counts as sent.
+	stages.run(func(sh int) {
+		c := counters{roundBytes: make([]int, t)}
+		for _, l := range outLinks[sh] {
+			dict := make(map[graph.Label]int)
+			for i := range l.sends {
+				snd := &l.sends[i]
+				snd.payload = encodeHaloRing(j, dict, snd.ring, withIDs)
+				c.messages += snd.copies
+				c.units += snd.copies * len(snd.ring.nodes)
+				c.haloBytes += snd.copies * len(snd.payload)
+				c.roundBytes[snd.ring.round] += snd.copies * len(snd.payload)
 			}
 		}
+		j.merge(&c)
+	})
+
+	// Decide stage, after the pool's barrier: each shard imports its ghosts,
+	// assembles its sub-host (owned nodes plus ghosts, monotone-renumbered,
+	// rows filtered to the local set) and decides its owned nodes in
+	// ascending host order. A degraded shard routes its rim nodes through
+	// the shared full-host fallback extractor; interior balls never leave
+	// the shard and stay local.
+	var fallback fallbackExtractor
+	stages.run(func(sh int) {
+		c := counters{roundGhosts: make([]int, t)}
+		ghosts, corrupt := importHalo(inLinks[sh], withIDs, &c)
+		slices.SortFunc(ghosts, func(a, b ghostRec) int { return cmp.Compare(a.node, b.node) })
+		ghostNodes := make([]int32, len(ghosts))
+		for i := range ghosts {
+			ghostNodes[i] = ghosts[i].node
+		}
+		own := part.Owned(sh)
+		ext := mergeKnowledge(nil, own, ghostNodes)
+		var a assembler
+		a.host(j, ext, ghosts)
+
+		var rim []int32 // the nodes that fall back: none unless degraded
+		if degraded[sh] || corrupt {
+			rim = rims[sh]
+		}
+		for _, v32 := range own {
+			v := int(v32)
+			if j.stop() {
+				break
+			}
+			var body func(v int) Verdict
+			if _, onRim := slices.BinarySearch(rim, v32); onRim {
+				c.incomplete++
+				body = func(v int) Verdict {
+					c.evaluated++
+					return fallback.decide(j, v)
+				}
+			} else {
+				li, found := slices.BinarySearch(ext, v32)
+				if !found {
+					panic("engine: sharded-mp owned node missing from local host")
+				}
+				body = func(v int) Verdict { return j.cachedVerdict(&c, a.at(j, ext, li), v) }
+			}
+			verdict, ok := j.guarded(&c, v, body)
+			j.commit(v, verdict, ok)
+		}
+		j.merge(&c)
+	})
+}
+
+// importHalo decodes a shard's incoming links into ghost records, tallying
+// them into c. Each link's rings decode in ascending round, exactly the
+// order the sender grew its label dictionary in, so the per-link
+// dictionaries stay in sync; lost rings were never encoded and cannot
+// desynchronise them. A ring that fails to decode is lost like a dropped
+// one, and so is the rest of its link, since later rings may refer to
+// dictionary entries it failed to add; corrupt reports that this happened.
+func importHalo(links []*haloLink, withIDs bool, c *counters) (ghosts []ghostRec, corrupt bool) {
+	for _, l := range links {
 		var dict []graph.Label
 		for _, snd := range l.sends {
-			payload, ok := byRound[snd.ring.round]
-			if !ok {
-				panic("engine: sharded-mp link drained but ring missing")
-			}
 			before := len(ghosts)
 			var err error
-			if ghosts, dict, err = decodeHaloRing(payload, dict, withIDs, ghosts); err != nil {
+			if ghosts, dict, err = decodeHaloRing(snd.payload, dict, withIDs, ghosts); err != nil {
 				corrupt = true
 				break
 			}
@@ -350,60 +292,6 @@ type ghostRec struct {
 	label graph.Label
 	id    int
 	row   []int32
-}
-
-// localHost is a shard's assembled sub-host.
-type localHost struct {
-	labeled  *graph.Labeled
-	instance *graph.Instance
-}
-
-// buildLocalHost assembles the monotone-renumbered sub-host over ext (owned
-// ∪ ghosts, ascending). Rows come from the host CSR for owned nodes and
-// from the imported records for ghosts, each filtered to ext — references
-// outside the local set are provably outside every owned radius-t ball.
-func buildLocalHost(j *job, ext []int32, ghosts []ghostRec, withIDs bool) localHost {
-	k := len(ext)
-	offsets := make([]int32, k+1)
-	nbrs := make([]int32, 0)
-	labels := make([]graph.Label, k)
-	var ids []int
-	if withIDs {
-		ids = make([]int, k)
-	}
-	gi := 0
-	for i, v := range ext {
-		var row []int32
-		if gi < len(ghosts) && ghosts[gi].node == v {
-			rec := &ghosts[gi]
-			row = rec.row
-			labels[i] = rec.label
-			if withIDs {
-				ids[i] = rec.id
-			}
-			gi++
-		} else {
-			row = j.l.G.Neighbors(int(v))
-			labels[i] = j.l.Labels[v]
-			if withIDs {
-				ids[i] = j.in.IDs[v]
-			}
-		}
-		for _, u := range row {
-			if li, ok := slices.BinarySearch(ext, u); ok {
-				nbrs = append(nbrs, int32(li))
-			}
-		}
-		offsets[i+1] = int32(len(nbrs))
-	}
-	g := graph.BuildCSR(offsets, func(dst []int32) { copy(dst, nbrs) })
-	l := graph.NewLabeled(g, labels)
-	h := localHost{labeled: l}
-	if withIDs {
-		// Identifiers are pairwise distinct host-wide, hence on the subset.
-		h.instance = &graph.Instance{Labeled: l, IDs: ids}
-	}
-	return h
 }
 
 // encodeHaloRing serialises one ring for a link. Format, all varints:
@@ -503,7 +391,7 @@ func decodeHaloRing(payload []byte, dict []graph.Label, withIDs bool, out []ghos
 		}
 		return int(x)
 	}
-	_ = next() // round (carried in haloMsg too; kept for self-containment)
+	_ = next() // round (the link's schedule carries it too; kept for self-containment)
 	count := length("node count")
 	prev := int32(-1)
 	for i := 0; i < count && err == nil; i++ {

@@ -45,8 +45,8 @@ func (s PartitionStrategy) String() string {
 
 // Partition maps the nodes of a host graph onto p shards. It is immutable
 // after construction; the accessors return internal slices that callers must
-// not mutate. A Partition is safe for concurrent reads, but HaloFrontier and
-// Halo use internal scratch and must not run concurrently with each other.
+// not mutate. A Partition is safe for concurrent reads, but Halo uses
+// internal scratch, so two Halo calls must not run concurrently.
 type Partition struct {
 	g     *Graph
 	p     int
@@ -144,28 +144,6 @@ func (pt *Partition) ShardOf(v int) int {
 // internal; callers must not mutate it.
 func (pt *Partition) Owned(s int) []int32 { return pt.owned[s] }
 
-// SubCSR materialises shard s's rows of the host CSR: offsets has
-// len(Owned(s))+1 entries and neighbors holds, for the i-th owned node, its
-// full host adjacency row (host ids, ascending) at
-// neighbors[offsets[i]:offsets[i+1]]. Rows are copied verbatim, so the
-// multiset union of every shard's rows is exactly the host's directed edge
-// multiset — each undirected edge appears once per endpoint, in the rows of
-// the endpoints' owning shards.
-func (pt *Partition) SubCSR(s int) (offsets, neighbors []int32) {
-	own := pt.owned[s]
-	offsets = make([]int32, len(own)+1)
-	total := 0
-	for i, v := range own {
-		total += len(pt.g.row(int(v)))
-		offsets[i+1] = int32(total)
-	}
-	neighbors = make([]int32, 0, total)
-	for _, v := range own {
-		neighbors = append(neighbors, pt.g.row(int(v))...)
-	}
-	return offsets, neighbors
-}
-
 // Boundary returns shard s's boundary: its owned endpoints of cross-shard
 // edges, ascending. Allocates the result; Owned order makes it sorted.
 func (pt *Partition) Boundary(s int) []int32 {
@@ -229,16 +207,4 @@ func (pt *Partition) Halo(s, t int) (nodes, depth []int32) {
 		depth[i] = tr.dist[v]
 	}
 	return nodes, depth
-}
-
-// HaloFrontier returns, for each shard, its depth-t boundary ball: the
-// ascending list of nodes (owned or not) within distance t of that shard's
-// owned endpoints of cross-shard edges — Halo's node column for every shard.
-func (pt *Partition) HaloFrontier(t int) [][]int32 {
-	out := make([][]int32, pt.p)
-	for s := 0; s < pt.p; s++ {
-		nodes, _ := pt.Halo(s, t)
-		out[s] = nodes
-	}
-	return out
 }
