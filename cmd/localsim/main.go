@@ -51,7 +51,10 @@
 // Label models (flip | swap | randomize | labels = all three) run the E16
 // self-stabilization protocol on the halting pyramidal family G(M, r) —
 // corrupt, heal, re-decide — and print a rounds-to-recovery table
-// (-graph/-decider are ignored; -trials sets episodes per model). "crash"
+// (-graph/-decider are ignored; -trials sets episodes per model) that one
+// -fault-seed replays byte for byte. The shared cache's counters close the
+// table; with -shards they go to stderr, since early exit makes them depend
+// on the shards' schedule. "crash"
 // injects decider crashes into the chosen instance on any backend and shows
 // the retry/VerdictError machinery; "messages" forces the MessagePassing
 // backend and injects drop/duplicate/delay at the given rate, showing the
@@ -85,6 +88,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"math/rand"
 	"os"
@@ -172,7 +176,7 @@ func run(args []string) error {
 	case "", "crash", "messages":
 		// crash/messages need the instance built below.
 	case "flip", "swap", "randomize", "labels":
-		return runSelfStab(*faults, *faultRate, *faultSeed, *trials, *incremental, *shards)
+		return runSelfStab(os.Stdout, os.Stderr, *faults, *faultRate, *faultSeed, *trials, *incremental, *shards)
 	default:
 		return fmt.Errorf("unknown -faults model %q (flip | swap | randomize | labels | crash | messages)", *faults)
 	}
@@ -416,9 +420,13 @@ func runRandomizedOnce(l *graph.Labeled, alg local.RandomizedAlgorithm, graphKin
 // line: corrupt the pyramidal G(M, r)'s labels under each requested model,
 // heal over geometric per-victim rounds, re-decide with the radius-1
 // pyramidal label verifier every round, and report rounds-to-recovery and
-// the exposure window. Everything derives from -fault-seed, so the table
-// replays exactly.
-func runSelfStab(model string, rate float64, seed int64, trials int, incremental bool, shards int) error {
+// the exposure window on stdout. Everything in that table derives from
+// -fault-seed, so stdout replays byte for byte. The shared cache's counters
+// follow it on stdout too, except under -shards: every round's evaluation
+// stops early, and how many views the shards decide, and so insert, before
+// the first rejection stops them depends on their schedule, so the counters
+// go to stderr, marked as such.
+func runSelfStab(stdout, stderr io.Writer, model string, rate float64, seed int64, trials int, incremental bool, shards int) error {
 	if incremental && shards > 0 {
 		return fmt.Errorf("-incremental keeps the instance resident; drop -shards")
 	}
@@ -456,9 +464,9 @@ func runSelfStab(model string, rate float64, seed int64, trials int, incremental
 		evalOpts.Scheduler = engine.ShardedMPPartitioned(shards, graph.PartitionLevelContiguous)
 		mode = fmt.Sprintf("sharded-mp (%d shards, level-contiguous)", shards)
 	}
-	fmt.Printf("self-stabilization: pyramidal G(%s, r=%d) n=%d rate=%.2f fault-seed=%d episodes=%d engine=%s\n",
+	fmt.Fprintf(stdout, "self-stabilization: pyramidal G(%s, r=%d) n=%d rate=%.2f fault-seed=%d episodes=%d engine=%s\n",
 		p.Machine.Name, p.R, asm.Labeled.N(), rate, seed, trials, mode)
-	fmt.Printf("%-10s %9s %10s %12s %15s %17s\n",
+	fmt.Fprintf(stdout, "%-10s %9s %10s %12s %15s %17s\n",
 		"model", "episodes", "recovered", "mean rounds", "exposed rounds", "exposed episodes")
 	for i, m := range models {
 		sw, err := fault.RecoverySweep(asm.Labeled, fault.SelfStabConfig{
@@ -471,12 +479,16 @@ func runSelfStab(model string, rate float64, seed int64, trials int, incremental
 		if err != nil {
 			return err
 		}
-		fmt.Printf("%-10s %9d %10s %12.2f %15d %17d\n",
+		fmt.Fprintf(stdout, "%-10s %9d %10s %12.2f %15d %17d\n",
 			m, sw.Episodes, fmt.Sprintf("%d/%d", sw.Trials.Accepted, sw.Episodes),
 			sw.MeanRecoveryRounds, sw.ExposedRounds, sw.ExposedEpisodes)
 	}
 	cs := cache.Stats()
-	fmt.Printf("cache: hits=%d misses=%d rejects=%d entries=%d\n", cs.Hits, cs.Misses, cs.Rejects, cs.Entries)
+	cacheOut, note := stdout, ""
+	if shards > 0 {
+		cacheOut, note = stderr, " (schedule-dependent under -shards)"
+	}
+	fmt.Fprintf(cacheOut, "cache: hits=%d misses=%d rejects=%d entries=%d%s\n", cs.Hits, cs.Misses, cs.Rejects, cs.Entries, note)
 	return nil
 }
 

@@ -3,6 +3,7 @@ package main
 import (
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -131,5 +132,32 @@ func TestLocalsimGraphSizeErrors(t *testing.T) {
 		if err := run(args); err == nil {
 			t.Errorf("localsim %v accepted an out-of-range size", args)
 		}
+	}
+}
+
+// TestSelfStabShardedReplays runs the sharded E16 sweep of CI's smoke
+// (-faults labels -fault-rate 0.05 -fault-seed 7 -trials 10 -shards 4)
+// twice and compares stdout byte for byte. The cache counters, which depend
+// on which shard stops first under early exit, go to stderr.
+func TestSelfStabShardedReplays(t *testing.T) {
+	var outs [2]string
+	for i := range outs {
+		var stdout, stderr strings.Builder
+		if err := runSelfStab(&stdout, &stderr, "labels", 0.05, 7, 10, false, 4); err != nil {
+			t.Fatal(err)
+		}
+		if !strings.HasPrefix(stderr.String(), "cache: ") || !strings.Contains(stderr.String(), "schedule-dependent") {
+			t.Errorf("run %d: stderr %q, want the marked cache line", i, stderr.String())
+		}
+		if strings.Contains(stdout.String(), "cache:") {
+			t.Errorf("run %d: the cache line is on stdout:\n%s", i, stdout.String())
+		}
+		outs[i] = stdout.String()
+	}
+	if outs[0] != outs[1] {
+		t.Errorf("stdout differs between runs of one seed:\n%s\n---\n%s", outs[0], outs[1])
+	}
+	if rows := strings.Count(outs[0], "10/10"); rows != 3 {
+		t.Errorf("stdout holds %d recovery rows, want 3:\n%s", rows, outs[0])
 	}
 }

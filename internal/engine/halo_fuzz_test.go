@@ -11,9 +11,10 @@ import (
 // FuzzHaloRingRoundTrip checks the halo wire format from both sides.
 // Rings that encodeHaloRing builds from a random labelled host, with and
 // without identifiers, decode back to the same records and label
-// dictionary, across consecutive rings of one link. And decodeHaloRing
-// never panics on arbitrary bytes: it decodes them or returns an error with
-// its inputs untouched.
+// dictionary, across consecutive rings of one link, each row capped at its
+// length so that no row can grow into the next in the ring's arena. And
+// decodeHaloRing never panics on arbitrary bytes: it decodes them, rows
+// capped alike, or returns an error with its inputs untouched.
 func FuzzHaloRingRoundTrip(f *testing.F) {
 	f.Add(int64(1), false, []byte{})
 	f.Add(int64(2), true, []byte{0, 1, 1, 0, 1, 'a', 2, 1, 1})
@@ -78,6 +79,9 @@ func FuzzHaloRingRoundTrip(f *testing.F) {
 			if withIDs && rec.id != in.IDs[v] {
 				t.Fatalf("record %d has identifier %d, want %d", i, rec.id, in.IDs[v])
 			}
+			if cap(rec.row) != len(rec.row) {
+				t.Fatalf("record %d's row has capacity %d beyond its length %d", i, cap(rec.row), len(rec.row))
+			}
 		}
 
 		// Arbitrary bytes, read against the dictionary the link built.
@@ -86,6 +90,11 @@ func FuzzHaloRingRoundTrip(f *testing.F) {
 		if err != nil && (len(got) != len(prior) || len(gotDict) != len(dict)) {
 			t.Fatalf("failed decode returned %d records and %d labels, want its inputs' %d and %d",
 				len(got), len(gotDict), len(prior), len(dict))
+		}
+		for i, rec := range got[len(prior):] {
+			if cap(rec.row) != len(rec.row) {
+				t.Fatalf("arbitrary bytes: record %d's row has capacity %d beyond its length %d", i, cap(rec.row), len(rec.row))
+			}
 		}
 	})
 }

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"math/bits"
 	"slices"
 	"sync"
 
@@ -230,29 +231,87 @@ func (s *sweeper) union() []int32 {
 	return set[:len(set):len(set)]
 }
 
+// rankIndex maps host addresses to their positions in an ascending address
+// set ext, in O(1) per query: a bitmap of ext over the host's addresses and,
+// for each word holding members, the number of members in the words before
+// it. Its footprint is n/64 words and n/64 counts whatever the size of ext,
+// and a build, with the clearing of the set built before, takes O(|ext|).
+// The zero value is ready to build.
+type rankIndex struct {
+	bits  []uint64 // bit u%64 of word u/64 is set iff u is in ext
+	base  []int32  // base[w]: the members below word w, valid where bits[w] != 0
+	words []int32  // the words holding members, cleared by the next build
+}
+
+// build indexes ext, a strictly ascending set of addresses in [0, n),
+// replacing the set indexed before.
+func (x *rankIndex) build(ext []int32, n int) {
+	if words := (n + 63) / 64; len(x.bits) != words {
+		x.bits, x.base = make([]uint64, words), make([]int32, words)
+	} else {
+		for _, w := range x.words {
+			x.bits[w] = 0
+		}
+	}
+	x.words = x.words[:0]
+	for i, u := range ext {
+		w := u / 64
+		if x.bits[w] == 0 {
+			x.base[w] = int32(i)
+			x.words = append(x.words, w)
+		}
+		x.bits[w] |= 1 << (u % 64)
+	}
+}
+
+// rank returns u's position in the indexed set and whether u is in it, as
+// slices.BinarySearch does for members. An address outside [0, n) is
+// absent.
+func (x *rankIndex) rank(u int32) (int, bool) {
+	w := uint(u) / 64 // a negative u wraps past every word
+	if w >= uint(len(x.bits)) {
+		return 0, false
+	}
+	word, bit := x.bits[w], uint64(1)<<(uint(u)%64)
+	if word&bit == 0 {
+		return 0, false
+	}
+	return int(x.base[w]) + bits.OnesCount64(word&(bit-1)), true
+}
+
 // assembler builds sub-host views for one decide worker of either
 // message-passing runtime: a flooding node's known subgraph, or a shard's
-// owned nodes plus ghosts. Its buffers and extractor are reused from host
-// to host; a view it returns is valid until its next one, and a sub-host
-// until the next host call. The zero value is ready to use.
+// owned nodes plus ghosts. Everything it builds lives in buffers it reuses
+// from host to host: the rank index over the sub-host's addresses, the CSR
+// arrays and the Graph and Instance values bound to them, and the
+// extractor, so a sub-host allocates nothing once the buffers have grown to
+// the largest one seen. A view it returns is valid until its next one, and
+// a sub-host until the next host call. The zero value is ready to use.
 type assembler struct {
 	x       *graph.ViewExtractor
+	idx     rankIndex
 	offsets []int32
 	nbrs    []int32
 	labels  []graph.Label
 	ids     []int
+	bind    graph.CSRBinder
+	g       graph.Graph
 	l       graph.Labeled
+	in      graph.Instance
 }
 
 // host builds the sub-host induced on the ascending address set ext and
 // binds the extractor to it. A node's label, identifier and row come from
 // its record in ghosts (ascending by node) when it has one, and from the
-// host otherwise. Each row is filtered to ext: a monotone dense
-// renumbering, so BFS discovery order (and with it the exact view layout)
-// is preserved. A reference outside ext is outside every ball the caller
-// extracts.
+// host otherwise. Each row is filtered to ext and renumbered through the
+// rank index: a monotone dense renumbering, so BFS discovery order (and
+// with it the exact view layout) is preserved. A reference outside ext, or
+// outside the host, is outside every ball the caller extracts and is
+// dropped. The sub-host is bound in place through graph.CSRBinder, so it
+// passes all of BuildCSR's validation. Time is linear in the rows read.
 func (a *assembler) host(j *job, ext []int32, ghosts []ghostRec) {
 	k := len(ext)
+	a.idx.build(ext, j.n)
 	a.offsets = slices.Grow(a.offsets[:0], k+1)[:k+1]
 	a.labels = slices.Grow(a.labels[:0], k)[:k]
 	if j.in != nil {
@@ -283,15 +342,16 @@ func (a *assembler) host(j *job, ext []int32, ghosts []ghostRec) {
 			}
 		}
 		for _, u := range row {
-			if li, ok := slices.BinarySearch(ext, u); ok {
+			if li, ok := a.idx.rank(u); ok {
 				a.nbrs = append(a.nbrs, int32(li))
 			}
 		}
 		a.offsets[i+1] = int32(len(a.nbrs))
 	}
-	// The graph aliases a.offsets, which the next host call overwrites only
-	// after the decides on this sub-host have returned.
-	a.l = graph.Labeled{G: graph.BuildCSR(a.offsets, func(dst []int32) { copy(dst, a.nbrs) }), Labels: a.labels}
+	// The graph aliases a.offsets and a.nbrs, which the next host call
+	// overwrites only after the decides on this sub-host have returned.
+	a.bind.Bind(&a.g, a.offsets, a.nbrs)
+	a.l = graph.Labeled{G: &a.g, Labels: a.labels}
 	if a.x == nil {
 		// Built on the first sub-host, so its BFS buffers are sized to
 		// sub-hosts, never to the whole host.
@@ -301,10 +361,21 @@ func (a *assembler) host(j *job, ext []int32, ghosts []ghostRec) {
 		a.x.Reset(&a.l)
 	} else {
 		// The identifier column is pairwise distinct, as on the host, so
-		// the Instance is built directly instead of through NewInstance's
+		// the Instance is bound directly instead of through NewInstance's
 		// validating copy.
-		a.x.ResetInstance(&graph.Instance{Labeled: &a.l, IDs: a.ids})
+		a.in = graph.Instance{Labeled: &a.l, IDs: a.ids}
+		a.x.ResetInstance(&a.in)
 	}
+}
+
+// local returns the sub-host index of host address v, which must be in the
+// set the last host call was built on.
+func (a *assembler) local(v int32) int {
+	li, ok := a.idx.rank(v)
+	if !ok {
+		panic("engine: node missing from its own sub-host")
+	}
+	return li
 }
 
 // at extracts the radius-t view of node li of the sub-host built on ext,
@@ -323,11 +394,7 @@ func (a *assembler) at(j *job, ext []int32, li int) *graph.View {
 // subgraph, then the extractor's ball restriction on it.
 func (a *assembler) view(j *job, known []int32, centre int) *graph.View {
 	a.host(j, known, nil)
-	li, ok := slices.BinarySearch(known, int32(centre))
-	if !ok {
-		panic("engine: flooding centre not in its own knowledge")
-	}
-	return a.at(j, known, li)
+	return a.at(j, known, a.local(int32(centre)))
 }
 
 // maxMessageDuplicates clamps an injector's per-message duplicate count, so

@@ -12,11 +12,13 @@ import (
 // TestMessagePassingAllocs bounds the heap allocations of a whole lossless
 // flooding evaluation, rounds and decide stage together, on a two-letter
 // cycle at n=512, t=4. Knowledge is a set of node addresses, the rounds
-// merge into per-worker arenas, and every decide worker reuses its assembly
-// buffers, so a node costs a handful of allocations to assemble its view
-// and a small share of the rounds' arena chunks.
+// merge into per-worker arenas, and every decide worker assembles its
+// sub-hosts in reused buffers bound in place, so a node costs a small share
+// of the rounds' arena chunks and nothing to assemble its view: under one
+// allocation per node in all (0.1 at the time of writing; 3.1 when each
+// sub-host went through BuildCSR).
 func TestMessagePassingAllocs(t *testing.T) {
-	const n, horizon, perNode = 512, 4, 8
+	const n, horizon, perNode = 512, 4, 1
 	l := graph.RandomLabels(graph.Cycle(n), []graph.Label{"a", "b"}, 1)
 	dec := cheapDecider(horizon)
 	allocs := testing.AllocsPerRun(5, func() {
@@ -28,6 +30,34 @@ func TestMessagePassingAllocs(t *testing.T) {
 		t.Errorf("flooding evaluation: %.1f allocations per node, want at most %d", got, perNode)
 	}
 	t.Logf("%.1f allocations per node", allocs/n)
+}
+
+// TestShardedMPAllocs bounds the heap allocations of a whole lossless
+// ShardedMP evaluation with dedup, on the uniform pyramid h=7 cut into two
+// level-contiguous shards at t=1, which import 13,802 ghosts. Ghost
+// records are sized from the ring schedule, each ring's rows share one
+// arena, and the sub-host is bound in place, so the run makes well under
+// 0.1 allocations per ghost (0.04 at the time of writing; 1.05 with a row
+// allocation per ghost).
+func TestShardedMPAllocs(t *testing.T) {
+	const perGhost = 0.1
+	l := graph.UniformlyLabeled(tree.NewPyramid(7).G, "")
+	opts := Options{Scheduler: ShardedMPPartitioned(2, graph.PartitionLevelContiguous), Dedup: true}
+	ghosts := 0
+	allocs := testing.AllocsPerRun(5, func() {
+		out := EvalOblivious(cheapDecider(1), l, opts)
+		if out.Err != nil {
+			t.Fatal(out.Err)
+		}
+		ghosts = out.Stats.GhostNodes
+	})
+	if ghosts == 0 {
+		t.Fatal("the evaluation imported no ghosts")
+	}
+	if got := allocs / float64(ghosts); got >= perGhost {
+		t.Errorf("sharded evaluation: %.3f allocations per ghost over %d ghosts, want under %g", got, ghosts, perGhost)
+	}
+	t.Logf("%.3f allocations per ghost over %d ghosts", allocs/float64(ghosts), ghosts)
 }
 
 // TestFloodingCountsClosedForm pins lossless flooding's traffic to its

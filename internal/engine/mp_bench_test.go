@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"repro/internal/graph"
+	"repro/internal/tree"
 )
 
 // Message-passing benchmarks: the flooding runtime's round sweep and the
@@ -61,6 +62,36 @@ func BenchmarkMPCycle(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkMPPyramid is the sharded runtime on the level-ordered family the
+// E16 sweep shards: the uniform pyramid h=8 (87,381 nodes) at t=1 with
+// dedup, cut into two level-contiguous shards, against the sequential
+// scheduler on the same host. The shards import 54,911 ghosts, so the arm
+// weighs ghost import and sub-host assembly. The CI gate pins the
+// sharded arm's allocs/op: ghost records sized from the ring schedule, one
+// row arena per ring and a sub-host bound in place leave a few hundred per
+// evaluation, where a row allocation per ghost made about 55,600.
+func BenchmarkMPPyramid(b *testing.B) {
+	l := graph.UniformlyLabeled(tree.NewPyramid(8).G, "")
+	dec := cheapDecider(1)
+	for _, arm := range []struct {
+		name  string
+		sched Scheduler
+	}{
+		{"sequential", Sequential},
+		{"sharded", ShardedMPPartitioned(2, graph.PartitionLevelContiguous)},
+	} {
+		b.Run(arm.name, func(b *testing.B) {
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				out := EvalOblivious(dec, l, Options{Scheduler: arm.sched, Dedup: true})
+				if out.Err != nil {
+					b.Fatal(out.Err)
+				}
+			}
+		})
+	}
 }
 
 // BenchmarkMPShards sweeps the shard count on the same workload — the

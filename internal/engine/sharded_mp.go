@@ -248,10 +248,7 @@ func (s shardedMPScheduler) run(j *job) {
 					return fallback.decide(j, v)
 				}
 			} else {
-				li, found := slices.BinarySearch(ext, v32)
-				if !found {
-					panic("engine: sharded-mp owned node missing from local host")
-				}
+				li := a.local(v32)
 				body = func(v int) Verdict { return j.cachedVerdict(&c, a.at(j, ext, li), v) }
 			}
 			verdict, ok := j.guarded(&c, v, body)
@@ -268,7 +265,16 @@ func (s shardedMPScheduler) run(j *job) {
 // desynchronise them. A ring that fails to decode is lost like a dropped
 // one, and so is the rest of its link, since later rings may refer to
 // dictionary entries it failed to add; corrupt reports that this happened.
+// The records are sized once, from the ring schedule, and each ring's rows
+// share one allocation (see decodeHaloRing).
 func importHalo(links []*haloLink, withIDs bool, c *counters) (ghosts []ghostRec, corrupt bool) {
+	scheduled := 0
+	for _, l := range links {
+		for _, snd := range l.sends {
+			scheduled += len(snd.ring.nodes)
+		}
+	}
+	ghosts = make([]ghostRec, 0, scheduled)
 	for _, l := range links {
 		var dict []graph.Label
 		for _, snd := range l.sends {
@@ -342,12 +348,16 @@ func encodeHaloRing(j *job, dict map[graph.Label]int, ring haloRing, withIDs boo
 }
 
 // decodeHaloRing is encodeHaloRing's inverse, appending the decoded records
-// to out and the first-occurrence labels to the link dictionary. A payload
-// it cannot decode — a truncated or overlong varint, a back-reference
-// outside the dictionary, a node count, label length or row degree longer
-// than the rest of the payload, or trailing bytes — yields an error and out
-// and dict as they were passed in, so no allocation is sized from wire data
-// beyond the payload.
+// to out and the first-occurrence labels to the link dictionary. The ring's
+// rows are decoded into one arena, allocated once after the node count and
+// sized by the rest of the payload, which bounds their total length since
+// every row entry takes at least one byte; each row is capped at its
+// length, so no append to one row can reach the next. A payload it cannot
+// decode — a truncated or overlong varint, a back-reference outside the
+// dictionary, a node count, label length or row degree longer than the rest
+// of the payload, or trailing bytes — yields an error and out and dict as
+// they were passed in, so no allocation is sized from wire data beyond the
+// payload.
 func decodeHaloRing(payload []byte, dict []graph.Label, withIDs bool, out []ghostRec) ([]ghostRec, []graph.Label, error) {
 	records, words := len(out), len(dict)
 	pos := 0
@@ -393,6 +403,10 @@ func decodeHaloRing(payload []byte, dict []graph.Label, withIDs bool, out []ghos
 	}
 	_ = next() // round (the link's schedule carries it too; kept for self-containment)
 	count := length("node count")
+	var arena []int32
+	if count > 0 {
+		arena = make([]int32, 0, len(payload)-pos)
+	}
 	prev := int32(-1)
 	for i := 0; i < count && err == nil; i++ {
 		v := prev + int32(next())
@@ -411,8 +425,12 @@ func decodeHaloRing(payload []byte, dict []graph.Label, withIDs bool, out []ghos
 		if withIDs {
 			rec.id = int(next())
 		}
+		// Every row entry read so far took a byte after the arena was sized,
+		// and deg fits in the bytes left, so the row fits in the arena.
 		deg := length("row degree")
-		rec.row = make([]int32, deg)
+		start := len(arena)
+		arena = arena[:start+deg]
+		rec.row = arena[start : start+deg : start+deg]
 		rprev := v
 		for ri := 0; ri < deg; ri++ {
 			if ri == 0 {

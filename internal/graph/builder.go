@@ -181,15 +181,57 @@ func FromEdges(n int, edges [][2]int) *Graph {
 // is what lets the 10^6-node pyramid build at memory speed. BuildCSR takes
 // ownership of offsets; the caller must not retain it.
 //
-// The result is verified before the Graph is returned: every row must be
-// strictly ascending (which rules out duplicates), in range, free of
-// self-loops, and the adjacency must be exactly symmetric. Verification is
-// a single fused O(n+m) sweep — symmetry falls out of one mirror-cursor
-// pass, not per-edge binary searches — and panics on the first violation,
-// so a buggy closed form cannot silently break the package's
-// canonical-representation invariant. Allocation: the neighbour array of
-// the result plus one n-sized cursor array for the sweep.
+// The result is verified before the Graph is returned, by the sweep
+// CSRBinder.Bind runs: every row must be strictly ascending (which rules
+// out duplicates), in range, free of self-loops, and the adjacency must be
+// exactly symmetric. Verification is a single fused O(n+m) sweep — symmetry
+// falls out of one mirror-cursor pass, not per-edge binary searches — and
+// panics on the first violation, so a buggy closed form cannot silently
+// break the package's canonical-representation invariant. Allocation: the
+// neighbour array, the Graph and one n-sized cursor array for the sweep.
 func BuildCSR(offsets []int32, fill func(neighbors []int32)) *Graph {
+	n := csrNodes(offsets)
+	neighbors := make([]int32, offsets[n])
+	fill(neighbors)
+	g := &Graph{}
+	g.bindCSR(offsets, neighbors, make([]int32, n))
+	return g
+}
+
+// CSRBinder binds Graph values to caller-owned CSR arrays, for callers that
+// assemble one graph after another in reused buffers (the message-passing
+// runtimes' sub-hosts). It keeps the validation sweep's cursor array from
+// call to call. The zero value is ready to use.
+type CSRBinder struct {
+	cursor []int32
+}
+
+// Bind validates offsets and neighbors exactly as BuildCSR validates its
+// arrays, with len(neighbors) = offsets[n] besides, and makes *g the static
+// graph they describe, in place. g then aliases both arrays, so the caller
+// must not modify them while g is in use. The generation advances past g's
+// previous one, so an extractor bound to g before the call must be reset.
+// Bind panics on the first violation, leaving g as it was. Allocation: none
+// once the cursor has grown to the largest n seen.
+func (b *CSRBinder) Bind(g *Graph, offsets, neighbors []int32) {
+	n := csrNodes(offsets)
+	if int(offsets[n]) != len(neighbors) {
+		panic(fmt.Sprintf("graph: CSRBinder.Bind offsets end at %d but neighbors holds %d", offsets[n], len(neighbors)))
+	}
+	if cap(b.cursor) < n {
+		b.cursor = make([]int32, n)
+	} else {
+		b.cursor = b.cursor[:n]
+		clear(b.cursor)
+	}
+	gen := g.gen
+	g.bindCSR(offsets, neighbors, b.cursor)
+	g.gen = gen + 1
+}
+
+// csrNodes checks a CSR offsets array, before anything is sized from it:
+// length n+1, a leading 0, never decreasing. It returns n.
+func csrNodes(offsets []int32) int {
 	n := len(offsets) - 1
 	if n < 0 || offsets[0] != 0 {
 		panic("graph: BuildCSR offsets must have length n+1 and start at 0")
@@ -200,15 +242,18 @@ func BuildCSR(offsets []int32, fill func(neighbors []int32)) *Graph {
 			panic(fmt.Sprintf("graph: BuildCSR offsets decrease at node %d", v))
 		}
 	}
-	sum := offsets[n]
-	neighbors := make([]int32, sum)
-	fill(neighbors)
-	// Fused validation sweep. Scanning nodes in ascending order, each row is
-	// checked strictly ascending / in range / loop-free, and symmetry falls
-	// out of the mirror cursors: the sub-diagonal prefix of each row must be
-	// consumed exactly, in order, by the super-diagonal entries of earlier
-	// rows.
-	cursor := make([]int32, n)
+	return n
+}
+
+// bindCSR runs the fused validation sweep over checked offsets and a
+// neighbour array of length offsets[n], with cursor a zeroed n-entry
+// scratch, then makes *g the static graph on those arrays at generation 0.
+// Scanning nodes in ascending order, each row is checked strictly ascending
+// / in range / loop-free, and symmetry falls out of the mirror cursors: the
+// sub-diagonal prefix of each row must be consumed exactly, in order, by the
+// super-diagonal entries of earlier rows.
+func (g *Graph) bindCSR(offsets, neighbors, cursor []int32) {
+	n := len(offsets) - 1
 	for v := 0; v < n; v++ {
 		vv := int32(v)
 		row := neighbors[offsets[v]:offsets[v+1]]
@@ -236,5 +281,5 @@ func BuildCSR(offsets []int32, fill func(neighbors []int32)) *Graph {
 			panic(fmt.Sprintf("graph: BuildCSR adjacency not symmetric at node %d", v))
 		}
 	}
-	return &Graph{offsets: offsets, neighbors: neighbors, m: int(sum) / 2}
+	*g = Graph{offsets: offsets, neighbors: neighbors, m: len(neighbors) / 2}
 }

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 )
 
@@ -256,5 +257,95 @@ func TestRandomExtremeProbabilities(t *testing.T) {
 	}
 	if g := Random(12, 1, 3); g.M() != 12*11/2 {
 		t.Fatalf("p=1 should yield the complete graph, got m=%d", g.M())
+	}
+}
+
+// malformedCSR is every way a caller-built CSR can break the representation
+// invariant: each must panic in BuildCSR and in CSRBinder.Bind alike.
+var malformedCSR = []struct {
+	name      string
+	offsets   []int32
+	neighbors []int32
+}{
+	{"no offsets", []int32{}, nil},
+	{"offsets start above 0", []int32{1, 1}, []int32{0}},
+	{"offsets decrease", []int32{0, 2, 1, 2}, []int32{1, 2}},
+	{"row descending", []int32{0, 2, 3, 4}, []int32{2, 1, 0, 0}},
+	{"duplicate entry", []int32{0, 2, 3}, []int32{1, 1, 0}},
+	{"neighbour at n", []int32{0, 1, 2}, []int32{2, 0}},
+	{"negative neighbour", []int32{0, 1, 2}, []int32{-1, 0}},
+	{"self-loop", []int32{0, 1, 2}, []int32{0, 1}},
+	{"no mirror half", []int32{0, 1, 1}, []int32{1}},
+	{"mirror half missing below", []int32{0, 0, 1}, []int32{0}},
+	{"mirror half elsewhere", []int32{0, 1, 2, 3}, []int32{1, 2, 0}},
+}
+
+func mustPanic(t *testing.T, what string, f func()) {
+	t.Helper()
+	defer func() {
+		if recover() == nil {
+			t.Errorf("%s: no panic", what)
+		}
+	}()
+	f()
+}
+
+// TestBuildCSRAndBindRejectMalformed feeds every malformed CSR to BuildCSR
+// and to Bind, on a fresh binder and on one whose cursor a larger valid
+// graph left dirty, and checks that a failed Bind leaves its graph as it
+// was.
+func TestBuildCSRAndBindRejectMalformed(t *testing.T) {
+	var warm CSRBinder
+	var big Graph
+	warm.Bind(&big, []int32{0, 1, 3, 5, 6}, []int32{1, 0, 2, 1, 3, 2}) // a path on 4 nodes
+	for _, tc := range malformedCSR {
+		mustPanic(t, "BuildCSR "+tc.name, func() {
+			BuildCSR(slices.Clone(tc.offsets), func(dst []int32) { copy(dst, tc.neighbors) })
+		})
+		for _, b := range []*CSRBinder{{}, &warm} {
+			g := *Cycle(3)
+			mustPanic(t, "Bind "+tc.name, func() { b.Bind(&g, tc.offsets, tc.neighbors) })
+			if !g.Equal(Cycle(3)) || g.Generation() != 0 {
+				t.Errorf("Bind %s: a failed bind changed its graph", tc.name)
+			}
+		}
+	}
+	// Bind alone also checks the neighbour array's length against offsets.
+	for _, neighbors := range [][]int32{{1}, {1, 0, 0}} {
+		var g Graph
+		mustPanic(t, "Bind with a mislengthed neighbour array", func() {
+			new(CSRBinder).Bind(&g, []int32{0, 1, 2}, neighbors)
+		})
+	}
+}
+
+// TestBindInPlace checks that Bind makes a graph equal to BuildCSR's on the
+// same arrays, aliasing them, that each bind advances the generation, and
+// that rebinding reuses the cursor without allocating.
+func TestBindInPlace(t *testing.T) {
+	var b CSRBinder
+	var g Graph
+	for i, h := range []*Graph{Cycle(5), Grid(3, 4), Path(2), New(0), New(3), Random(40, 0.2, 3)} {
+		offsets := append([]int32(nil), h.offsets...)
+		neighbors := append([]int32(nil), h.neighbors...)
+		if len(offsets) == 0 {
+			offsets = []int32{0}
+		}
+		b.Bind(&g, offsets, neighbors)
+		checkCSRInvariants(t, &g)
+		want := BuildCSR(slices.Clone(offsets), func(dst []int32) { copy(dst, neighbors) })
+		if !g.Equal(want) || !g.Equal(h) || g.M() != h.M() {
+			t.Errorf("graph %d: bound graph differs from BuildCSR's", i)
+		}
+		if g.Generation() != uint64(i+1) {
+			t.Errorf("graph %d: generation %d after %d binds", i, g.Generation(), i+1)
+		}
+		if len(neighbors) > 0 && &g.neighbors[0] != &neighbors[0] {
+			t.Errorf("graph %d: the bound graph copied its neighbour array", i)
+		}
+	}
+	offsets, neighbors := append([]int32(nil), Cycle(40).offsets...), append([]int32(nil), Cycle(40).neighbors...)
+	if allocs := testing.AllocsPerRun(10, func() { b.Bind(&g, offsets, neighbors) }); allocs != 0 {
+		t.Errorf("rebinding allocates %.0f times, want 0", allocs)
 	}
 }

@@ -185,6 +185,22 @@ var gates = []group{
 			// 18.2–22.3 MB per op at -cpu 1 to 16, against 10.1–11.0 MB
 			// for the sized form.
 			{bench: "BenchmarkMPCycle/sharded", unit: "B/op", max: bound(16e6)},
+			// Flooding assembles every node's view in its decide worker's
+			// reused buffers and binds the sub-host in place: about 2,100
+			// allocations per evaluation of 10^5 nodes, where a BuildCSR
+			// per node made 302,000.
+			{bench: "BenchmarkMPCycle/legacy", unit: "allocs/op", max: bound(10000)},
+		},
+	},
+	{
+		name: "mppyramid",
+		runs: []run{{pkg: "./internal/engine/", bench: "BenchmarkMPPyramid", benchtime: "3x", count: 1, benchmem: true}},
+		rows: []row{
+			// Two level-contiguous shards of the h=8 pyramid import 54,911
+			// ghosts into records sized from the ring schedule, with one
+			// row arena per ring: about 670 allocations per evaluation,
+			// where a row allocation per ghost made 55,600.
+			{bench: "BenchmarkMPPyramid/sharded", unit: "allocs/op", max: bound(2000)},
 		},
 	},
 	{
