@@ -12,10 +12,11 @@
 // Endpoints:
 //
 //	GET /v1/eval?graph=cycle&n=64&decider=degree2[&seed=1][&backend=sharded][&timeout_ms=500]
-//	    Evaluate a deterministic decider on the named instance. Answers flow
-//	    through the shared bounded cache; fresh verdicts are written behind
-//	    to the store. 429 + Retry-After under overload, 504 when the
-//	    evaluation exceeds its deadline.
+//	    Evaluate a decider of the catalogue in internal/family (the names
+//	    localsim takes) on the named instance. A deterministic decider's
+//	    answers flow through the shared bounded cache, and its fresh
+//	    verdicts are written behind to the store. 429 + Retry-After under
+//	    overload, 504 when the evaluation exceeds its deadline.
 //	GET /v1/trials?graph=cycle&n=64&decider=coin&trials=500[&confidence=0.99][&timeout_ms=2000]
 //	    Monte Carlo acceptance sweep of a randomized decider. A deadline
 //	    mid-sweep returns the committed prefix (committed < requested).

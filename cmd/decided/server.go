@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"math/rand"
 	"net/http"
 	"runtime"
 	"slices"
@@ -19,8 +18,6 @@ import (
 	"repro/internal/engine"
 	"repro/internal/family"
 	"repro/internal/graph"
-	"repro/internal/local"
-	"repro/internal/props"
 	"repro/internal/store"
 )
 
@@ -56,11 +53,11 @@ type config struct {
 
 // resident is one cached (graph, labels, decider) binding: built on first
 // request, then reused for the server's lifetime so repeated evaluations pay
-// zero construction cost and share every cached verdict.
+// zero construction cost and share every cached verdict. dec.DecideRand is
+// set for a randomized decider, dec.Decide otherwise.
 type resident struct {
-	l    *graph.Labeled
-	dec  engine.Decider            // deterministic deciders
-	rand local.RandomizedAlgorithm // randomized deciders (trials)
+	l   *graph.Labeled
+	dec engine.Decider
 }
 
 // server is the decided service: a resident verdict cache, an optional
@@ -237,30 +234,17 @@ func buildServedGraph(kind string, n, maxNodes int) (*graph.Graph, error) {
 	return build(), nil
 }
 
-// buildResident binds a decider name to a labeled instance.
+// buildResident binds a decider name to a labeled instance: a test decider
+// when one is registered under the name, else the catalogue's entry.
 func (s *server) buildResident(g *graph.Graph, name string, seed int64) (*resident, error) {
 	if dec, ok := s.cfg.testDeciders[name]; ok {
 		return &resident{l: graph.UniformlyLabeled(g, ""), dec: dec}, nil
 	}
-	switch name {
-	case "3col":
-		l := graph.RandomLabels(g, []graph.Label{"0", "1", "2"}, seed)
-		return &resident{l: l, dec: local.EngineObliviousDecider(props.ThreeColoringVerifier())}, nil
-	case "mis":
-		l := graph.RandomLabels(g, []graph.Label{"0", "1"}, seed)
-		return &resident{l: l, dec: local.EngineObliviousDecider(props.MISVerifier())}, nil
-	case "degree2":
-		return &resident{l: graph.UniformlyLabeled(g, ""), dec: local.EngineObliviousDecider(props.BoundedDegreeVerifier(2))}, nil
-	case "triangle-free":
-		return &resident{l: graph.UniformlyLabeled(g, ""), dec: local.EngineObliviousDecider(props.TriangleFreeVerifier())}, nil
-	case "coin":
-		alg := local.RandomizedFunc("coin(1/64)", 0, func(_ *graph.View, rng *rand.Rand) local.Verdict {
-			return local.Verdict(rng.Intn(64) != 0)
-		})
-		return &resident{l: graph.UniformlyLabeled(g, ""), rand: alg}, nil
-	default:
-		return nil, fmt.Errorf("unknown decider %q (3col | mis | degree2 | triangle-free | coin)", name)
+	l, dec, err := family.Decider(name, g, seed)
+	if err != nil {
+		return nil, err
 	}
+	return &resident{l: l, dec: dec}, nil
 }
 
 // evalResponse is the JSON body of /v1/eval.
@@ -301,9 +285,10 @@ func parseCommon(r *http.Request) (kind string, n int, decider string, seed int6
 	return kind, n, decider, seed, nil
 }
 
-// handleEval evaluates a deterministic decider on the named instance through
-// the resident cache, under the request's deadline and the server's
-// admission control.
+// handleEval evaluates a decider once on the named instance, under the
+// request's deadline and the server's admission control. A deterministic
+// decider's verdicts flow through the resident cache; a randomized one draws
+// every node's coins from the request's seed and is never cached.
 func (s *server) handleEval(w http.ResponseWriter, r *http.Request) {
 	kind, n, deciderName, seed, err := parseCommon(r)
 	if err != nil {
@@ -340,20 +325,11 @@ func (s *server) handleEval(w http.ResponseWriter, r *http.Request) {
 	// nocache=1 is a diagnostic: evaluate without the resident cache (and
 	// without feeding it), so operators can measure the cold path and tests
 	// can exercise full-length evaluations.
-	if res.dec.Decide != nil && r.URL.Query().Get("nocache") != "1" {
-		opts.Cache = s.cache // implies dedup; ignored for randomized deciders
-	}
-	var dec engine.Decider
-	if res.dec.Decide != nil {
-		dec = res.dec
-	} else if res.rand != nil {
-		dec = local.EngineRandomizedDecider(res.rand)
-	} else {
-		httpError(w, http.StatusInternalServerError, "resident without a decider")
-		return
+	if r.URL.Query().Get("nocache") != "1" {
+		opts.Cache = s.cache // implies dedup; the engine ignores it for randomized deciders
 	}
 	begin := time.Now()
-	out := engine.EvalOblivious(dec, res.l, opts)
+	out := engine.EvalOblivious(res.dec, res.l, opts)
 	elapsed := time.Since(begin)
 	s.evalLat.observe(elapsed)
 
@@ -430,7 +406,7 @@ func (s *server) handleTrials(w http.ResponseWriter, r *http.Request) {
 		httpError(w, http.StatusBadRequest, "%v", err)
 		return
 	}
-	if res.rand == nil {
+	if res.dec.DecideRand == nil {
 		httpError(w, http.StatusBadRequest, "decider %q is deterministic; /v1/trials needs a randomized decider (coin)", deciderName)
 		return
 	}
@@ -438,7 +414,8 @@ func (s *server) handleTrials(w http.ResponseWriter, r *http.Request) {
 	ctx, cancel := context.WithTimeout(r.Context(), timeout)
 	defer cancel()
 	begin := time.Now()
-	stats, terr := local.AcceptanceTrials(res.rand, res.l, engine.TrialOptions{
+	dec := engine.TrialDecider{Name: res.dec.Name, Horizon: res.dec.Horizon, DecideRand: res.dec.DecideRand}
+	stats, terr := engine.EvalTrials(dec, res.l, engine.TrialOptions{
 		Trials: trials, Seed: seed, Confidence: confidence, Ctx: ctx,
 	})
 	elapsed := time.Since(begin)

@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"repro/internal/engine"
+	"repro/internal/family"
 	"repro/internal/graph"
 	"repro/internal/testutil"
 )
@@ -133,6 +134,39 @@ func TestEvalValidation(t *testing.T) {
 	_, ts2 := newTestServer(t, cfg)
 	if code, _ := get(t, ts2.URL+"/v1/eval?graph=cycle&n=101&decider=degree2"); code != http.StatusBadRequest {
 		t.Errorf("over-cap instance: status %d, want 400", code)
+	}
+}
+
+// TestEvalServesTheCatalogue: decided resolves decider names through the
+// catalogue of internal/family, so forest, which it did not serve before
+// the catalogue, is served (accepting a path, rejecting a cycle), and the
+// 400 for an unknown decider lists every catalogue name.
+func TestEvalServesTheCatalogue(t *testing.T) {
+	_, ts := newTestServer(t, testConfig())
+	for q, want := range map[string]bool{
+		"/v1/eval?graph=path&n=20&decider=forest":  true,
+		"/v1/eval?graph=cycle&n=20&decider=forest": false,
+	} {
+		code, body := get(t, ts.URL+q)
+		if code != http.StatusOK {
+			t.Fatalf("%s: status %d: %s", q, code, strings.TrimSpace(body))
+		}
+		var r evalResponse
+		if err := json.Unmarshal([]byte(body), &r); err != nil {
+			t.Fatalf("%s: bad JSON: %v", q, err)
+		}
+		if r.Accepted != want || r.Decider != "forest" || r.N != 20 {
+			t.Errorf("%s: %+v, want accepted=%v", q, r, want)
+		}
+	}
+	code, body := get(t, ts.URL+"/v1/eval?graph=cycle&n=8&decider=mystery")
+	if code != http.StatusBadRequest {
+		t.Fatalf("unknown decider: status %d, want 400", code)
+	}
+	for _, name := range family.DeciderNames() {
+		if !strings.Contains(body, name) {
+			t.Errorf("unknown-decider 400 %q does not list %q", strings.TrimSpace(body), name)
+		}
 	}
 }
 

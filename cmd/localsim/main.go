@@ -17,12 +17,15 @@
 // 1024x1024 base, ~1.4 million nodes — the engine-scale sweep workload the
 // arithmetic coordinate indexing unlocked), random (Erdős–Rényi on n nodes
 // at expected degree ~4, seeded by -seed).
-// Deciders: 3col (labels random colours), mis (labels random bits),
-// degree2, triangle-free, forest (labels are BFS-distance forest
-// certificates from props.CertifyForest; the horizon-1 certificate verifier
+// Deciders are the catalogue of internal/family, the one table both
+// commands resolve -decider through: 3col (labels random colours), mis
+// (labels random bits), degree2, triangle-free, forest (labels are
+// BFS-distance forest certificates; the horizon-1 certificate verifier
 // rejects exactly when an update created a cycle or detached a certified
 // parent — the natural dynamic language), coin (randomized: each node
-// accepts unless its 1-in-64 coin draw comes up zero — use with -trials).
+// accepts unless its 1-in-64 coin draw comes up zero). A single evaluation
+// of coin draws every node's coins from -seed on the same path as the
+// deterministic deciders; -trials sweeps it.
 // Backends: sequential (default), sharded (worker pool), mp (the flooding
 // message-passing protocol). -dedup decides each distinct canonical view once.
 // -runs repeats the evaluation; with -cache the runs share one cross-run
@@ -94,6 +97,8 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
+	"strings"
 	"time"
 
 	"repro/internal/engine"
@@ -102,7 +107,6 @@ import (
 	"repro/internal/graph"
 	"repro/internal/halting"
 	"repro/internal/local"
-	"repro/internal/props"
 	"repro/internal/turing"
 )
 
@@ -117,7 +121,7 @@ func run(args []string) error {
 	fs := flag.NewFlagSet("localsim", flag.ContinueOnError)
 	graphKind := fs.String("graph", "cycle", "cycle | path | star | grid | tree | pyramid | random")
 	n := fs.Int("n", 8, "size parameter")
-	deciderName := fs.String("decider", "3col", "3col | mis | degree2 | triangle-free | forest | coin")
+	deciderName := fs.String("decider", "3col", strings.Join(family.DeciderNames(), " | "))
 	seed := fs.Int64("seed", 1, "label and coin seed")
 	backend := fs.String("backend", "sequential", "sequential | sharded | mp")
 	shards := fs.Int("shards", 0, "run the sharded halo-exchange runtime with this many shards (0 = off; level-contiguous partitioning for pyramid/tree, BFS-blocked otherwise)")
@@ -138,7 +142,11 @@ func run(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if err := validateFlags(fs.NArg(), *graphKind, *n, *deciderName, *backend, *shards, *runs,
+	_, buildGraph, err := family.New(*graphKind, *n, *seed)
+	if err != nil {
+		return err
+	}
+	if err := validateFlags(fs.NArg(), *deciderName, *backend, *shards, *runs,
 		*trials, *confidence, *threshold, *faults, *faultRate, *dynamic); err != nil {
 		return err
 	}
@@ -173,39 +181,25 @@ func run(args []string) error {
 		}()
 	}
 	switch *faults {
-	case "", "crash", "messages":
-		// crash/messages need the instance built below.
 	case "flip", "swap", "randomize", "labels":
 		return runSelfStab(os.Stdout, os.Stderr, *faults, *faultRate, *faultSeed, *trials, *incremental, *shards)
-	default:
-		return fmt.Errorf("unknown -faults model %q (flip | swap | randomize | labels | crash | messages)", *faults)
 	}
 
-	g, err := buildGraph(*graphKind, *n, *seed)
+	l, dec, err := family.Decider(*deciderName, buildGraph(), *seed)
 	if err != nil {
 		return err
 	}
-	l, alg, randAlg, err := buildDecider(*deciderName, g, *seed)
-	if err != nil {
-		return err
-	}
-	if *faults != "" {
-		if alg == nil {
-			return fmt.Errorf("-faults %s needs a deterministic decider, got %q", *faults, *deciderName)
-		}
-		return runFaulty(*faults, l, alg, *graphKind, *backend, *shards, *faultRate, *faultSeed, *summary)
-	}
-	if *dynamic > 0 {
-		if alg == nil {
-			return fmt.Errorf("-dynamic needs a deterministic decider, got %q", *deciderName)
-		}
-		return runDynamic(l, alg, *graphKind, *backend, *shards, *dynamic, *seed, *incremental, *dedup, *summary)
-	}
-	if *trials > 0 {
-		return runTrials(l, randAlg, *deciderName, *graphKind, *backend, *trials, *seed, *confidence, *threshold)
-	}
-	if randAlg != nil {
-		return runRandomizedOnce(l, randAlg, *graphKind, *backend, *shards, *seed, *summary)
+	switch randomized := dec.DecideRand != nil; {
+	case randomized && (*faults != "" || *dynamic > 0):
+		return fmt.Errorf("-faults and -dynamic need a deterministic decider, got %q", *deciderName)
+	case *faults != "":
+		return runFaulty(*faults, l, dec, *graphKind, *backend, *shards, *faultRate, *faultSeed, *summary)
+	case *dynamic > 0:
+		return runDynamic(l, dec, *graphKind, *backend, *shards, *dynamic, *seed, *incremental, *dedup, *summary)
+	case *trials > 0 && !randomized:
+		return fmt.Errorf("decider %q is deterministic; -trials needs a randomized decider (coin)", *deciderName)
+	case *trials > 0:
+		return runTrials(l, dec, *graphKind, *backend, *trials, *seed, *confidence, *threshold)
 	}
 	sched, err := buildScheduler(*backend, *shards, *graphKind)
 	if err != nil {
@@ -216,8 +210,9 @@ func run(args []string) error {
 	if *useCache {
 		cache = engine.NewViewCache()
 	}
-	opts := engine.Options{Scheduler: sched, Dedup: *dedup, Cache: cache}
-	dec := local.EngineObliviousDecider(alg)
+	// The engine deduplicates and caches deterministic deciders only; a
+	// randomized one draws each node's coins from Seed.
+	opts := engine.Options{Scheduler: sched, Dedup: *dedup, Cache: cache, Seed: *seed}
 
 	var out engine.Outcome
 	for r := 0; r < *runs; r++ {
@@ -229,17 +224,8 @@ func run(args []string) error {
 		}
 	}
 
-	fmt.Printf("graph=%s n=%d decider=%s backend=%s\n", *graphKind, l.N(), alg.Name(), out.Stats.Scheduler)
-	if !*summary {
-		for v := 0; v < l.N(); v++ {
-			fmt.Printf("  node %3d  label=%-8q  verdict=%s\n", v, l.Labels[v], out.Verdicts[v])
-		}
-	}
-	if out.Accepted {
-		fmt.Println("globally ACCEPTED (all nodes yes)")
-	} else {
-		fmt.Println("globally REJECTED (some node said no)")
-	}
+	fmt.Printf("graph=%s n=%d decider=%s backend=%s\n", *graphKind, l.N(), dec.Name, out.Stats.Scheduler)
+	printVerdicts(l, out, *summary, "some node said no")
 	s := out.Stats
 	isMP := s.Scheduler == engine.MessagePassing.Name()
 	fmt.Printf("engine: workers=%d evaluated=%d", s.Workers, s.Evaluated)
@@ -264,26 +250,17 @@ func run(args []string) error {
 
 // validateFlags is the up-front configuration check: every malformed or
 // contradictory invocation fails with a one-line usage error here, before
-// any profile file is created or any instance is built. Mode-specific range
-// checks deeper in the pipeline stay as defense in depth; this is the front
-// door.
-func validateFlags(nArgs int, graphKind string, n int, decider, backend string,
+// any profile file is created or any instance is built. -graph and -n are
+// checked before it by family.New, which builds nothing; whether the decider
+// is randomized, which -trials, -faults and -dynamic depend on, is known
+// once the catalogue has labelled the host.
+func validateFlags(nArgs int, decider, backend string,
 	shards, runs, trials int, confidence, threshold float64, faults string, faultRate float64, dynamic int) error {
 	if nArgs > 0 {
 		return fmt.Errorf("unexpected positional arguments (flags only)")
 	}
-	switch graphKind {
-	case "cycle", "path", "star", "grid", "tree", "pyramid", "random":
-	default:
-		return fmt.Errorf("unknown graph kind %q (cycle | path | star | grid | tree | pyramid | random)", graphKind)
-	}
-	if n < 0 {
-		return fmt.Errorf("-n must be non-negative, got %d", n)
-	}
-	switch decider {
-	case "3col", "mis", "degree2", "triangle-free", "forest", "coin":
-	default:
-		return fmt.Errorf("unknown decider %q (3col | mis | degree2 | triangle-free | forest | coin)", decider)
+	if names := family.DeciderNames(); !slices.Contains(names, decider) {
+		return fmt.Errorf("unknown decider %q (%s)", decider, strings.Join(names, " | "))
 	}
 	if dynamic < 0 {
 		return fmt.Errorf("-dynamic must be non-negative, got %d", dynamic)
@@ -320,6 +297,9 @@ func validateFlags(nArgs int, graphKind string, n int, decider, backend string,
 		if shards > 0 && faults == "" {
 			return fmt.Errorf("-trials parallelises at trial level; drop -shards")
 		}
+		if backend == "mp" && faults == "" {
+			return fmt.Errorf("-trials supports -backend sequential or sharded, not %q", backend)
+		}
 		if confidence <= 0 || confidence >= 1 || math.IsNaN(confidence) {
 			return fmt.Errorf("-confidence must be in (0, 1), got %v", confidence)
 		}
@@ -344,35 +324,22 @@ func validateFlags(nArgs int, graphKind string, n int, decider, backend string,
 }
 
 // runTrials drives the Monte Carlo subsystem: -trials with a randomized
-// decider.
-func runTrials(l *graph.Labeled, alg local.RandomizedAlgorithm, deciderName, graphKind, backend string, trials int, seed int64, confidence, threshold float64) error {
-	if alg == nil {
-		return fmt.Errorf("decider %q is deterministic; -trials needs a randomized decider (coin)", deciderName)
-	}
-	if confidence <= 0 || confidence >= 1 {
-		return fmt.Errorf("-confidence must be in (0, 1), got %v", confidence)
-	}
+// decider. The trial pool is one worker under -backend sequential and
+// GOMAXPROCS under sharded.
+func runTrials(l *graph.Labeled, dec engine.Decider, graphKind, backend string, trials int, seed int64, confidence, threshold float64) error {
 	opts := engine.TrialOptions{Trials: trials, Seed: seed, Confidence: confidence}
-	switch backend {
-	case "sequential":
+	if backend == "sequential" {
 		opts.Workers = 1
-	case "sharded":
-		opts.Workers = 0 // GOMAXPROCS
-	default:
-		return fmt.Errorf("-trials supports -backend sequential or sharded, not %q", backend)
 	}
 	if !math.IsNaN(threshold) {
-		if threshold < 0 || threshold > 1 {
-			return fmt.Errorf("-threshold must be in [0, 1], got %v", threshold)
-		}
 		opts.AdaptiveStop = true
 		opts.Threshold = threshold
 	}
-	stats, err := local.AcceptanceTrials(alg, l, opts)
+	stats, err := engine.EvalTrials(engine.TrialDecider{Name: dec.Name, Horizon: dec.Horizon, DecideRand: dec.DecideRand}, l, opts)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("graph=%s n=%d decider=%s backend=%s\n", graphKind, l.N(), alg.Name(), backend)
+	fmt.Printf("graph=%s n=%d decider=%s backend=%s\n", graphKind, l.N(), dec.Name, backend)
 	fmt.Printf("trials: committed=%d/%d accepted=%d estimate=%.4f CI%.0f=[%.4f, %.4f]\n",
 		stats.Trials, trials, stats.Accepted, stats.Estimate,
 		stats.Confidence*100, stats.CI.Low, stats.CI.High)
@@ -391,31 +358,6 @@ func runTrials(l *graph.Labeled, alg local.RandomizedAlgorithm, deciderName, gra
 	return nil
 }
 
-// runRandomizedOnce evaluates a randomized decider for a single trial
-// through the ordinary engine path (per-node streams from -seed).
-func runRandomizedOnce(l *graph.Labeled, alg local.RandomizedAlgorithm, graphKind, backend string, shards int, seed int64, summary bool) error {
-	sched, err := buildScheduler(backend, shards, graphKind)
-	if err != nil {
-		return err
-	}
-	out := engine.EvalOblivious(local.EngineRandomizedDecider(alg), l,
-		engine.Options{Scheduler: sched, Seed: seed})
-	fmt.Printf("graph=%s n=%d decider=%s backend=%s\n", graphKind, l.N(), alg.Name(), out.Stats.Scheduler)
-	if !summary {
-		for v := 0; v < l.N(); v++ {
-			fmt.Printf("  node %3d  label=%-8q  verdict=%s\n", v, l.Labels[v], out.Verdicts[v])
-		}
-	}
-	if out.Accepted {
-		fmt.Println("globally ACCEPTED (all nodes yes)")
-	} else {
-		fmt.Println("globally REJECTED (some node said no)")
-	}
-	fmt.Printf("engine: workers=%d evaluated=%d (single trial; use -trials for a sweep)\n",
-		out.Stats.Workers, out.Stats.Evaluated)
-	return nil
-}
-
 // runSelfStab drives the E16 self-stabilization protocol from the command
 // line: corrupt the pyramidal G(M, r)'s labels under each requested model,
 // heal over geometric per-victim rounds, re-decide with the radius-1
@@ -429,9 +371,6 @@ func runRandomizedOnce(l *graph.Labeled, alg local.RandomizedAlgorithm, graphKin
 func runSelfStab(stdout, stderr io.Writer, model string, rate float64, seed int64, trials int, incremental bool, shards int) error {
 	if incremental && shards > 0 {
 		return fmt.Errorf("-incremental keeps the instance resident; drop -shards")
-	}
-	if rate <= 0 || rate > 1 {
-		return fmt.Errorf("-fault-rate must be in (0, 1], got %v", rate)
 	}
 	var models []fault.LabelModel
 	if model == "labels" {
@@ -496,10 +435,7 @@ func runSelfStab(stdout, stderr io.Writer, model string, rate float64, seed int6
 // crashes or message faults, showing the engine's recovery machinery: retry
 // counters, VerdictErrors (never misreported as accept or reject), and the
 // MessagePassing incomplete-view fallback.
-func runFaulty(mode string, l *graph.Labeled, alg local.ObliviousAlgorithm, graphKind, backend string, shards int, rate float64, seed int64, summary bool) error {
-	if rate < 0 || rate > 1 {
-		return fmt.Errorf("-fault-rate must be in [0, 1], got %v", rate)
-	}
+func runFaulty(mode string, l *graph.Labeled, dec engine.Decider, graphKind, backend string, shards int, rate float64, seed int64, summary bool) error {
 	plan := &fault.Plan{Seed: seed}
 	var opts engine.Options
 	switch mode {
@@ -524,22 +460,10 @@ func runFaulty(mode string, l *graph.Labeled, alg local.ObliviousAlgorithm, grap
 			opts = engine.Options{Scheduler: engine.MessagePassing, Faults: plan}
 		}
 	}
-	out := engine.EvalOblivious(local.EngineObliviousDecider(alg), l, opts)
+	out := engine.EvalOblivious(dec, l, opts)
 	fmt.Printf("graph=%s n=%d decider=%s backend=%s faults=%s rate=%.2f fault-seed=%d\n",
-		graphKind, l.N(), alg.Name(), out.Stats.Scheduler, mode, rate, seed)
-	if !summary && out.Verdicts != nil {
-		for v := 0; v < l.N(); v++ {
-			fmt.Printf("  node %3d  label=%-8q  verdict=%s\n", v, l.Labels[v], out.Verdicts[v])
-		}
-	}
-	switch {
-	case out.Err != nil:
-		fmt.Printf("globally UNDECIDED: %v\n", out.Err)
-	case out.Accepted:
-		fmt.Println("globally ACCEPTED (all nodes yes)")
-	default:
-		fmt.Println("globally REJECTED (some node said no)")
-	}
+		graphKind, l.N(), dec.Name, out.Stats.Scheduler, mode, rate, seed)
+	printVerdicts(l, out, summary, "some node said no")
 	s := out.Stats
 	fmt.Printf("engine: workers=%d evaluated=%d crashes=%d retries=%d\n",
 		s.Workers, s.Evaluated, s.Crashes, s.Retries)
@@ -561,7 +485,7 @@ func runFaulty(mode string, l *graph.Labeled, alg local.ObliviousAlgorithm, grap
 // the dirty-ball repair around the touched endpoints; otherwise every update
 // triggers a from-scratch re-evaluation — identical verdicts (the session is
 // parity-tested against the full engine), different cost model.
-func runDynamic(l *graph.Labeled, alg local.ObliviousAlgorithm, graphKind, backend string, shards, updates int, seed int64, incremental, dedup, summary bool) error {
+func runDynamic(l *graph.Labeled, dec engine.Decider, graphKind, backend string, shards, updates int, seed int64, incremental, dedup, summary bool) error {
 	sched, err := buildScheduler(backend, shards, graphKind)
 	if err != nil {
 		return err
@@ -570,7 +494,6 @@ func runDynamic(l *graph.Labeled, alg local.ObliviousAlgorithm, graphKind, backe
 	if n < 2 {
 		return fmt.Errorf("-dynamic needs at least 2 nodes, got %d", n)
 	}
-	dec := local.EngineObliviousDecider(alg)
 	opts := engine.Options{Scheduler: sched, Dedup: dedup}
 	rng := rand.New(rand.NewSource(seed + 0x9e3779b9))
 	mode := "from-scratch"
@@ -578,13 +501,10 @@ func runDynamic(l *graph.Labeled, alg local.ObliviousAlgorithm, graphKind, backe
 		mode = "incremental"
 	}
 	fmt.Printf("graph=%s n=%d decider=%s backend=%s dynamic: updates=%d mode=%s\n",
-		graphKind, n, alg.Name(), backend, updates, mode)
+		graphKind, n, dec.Name, backend, updates, mode)
 
 	var (
-		accepted   bool
-		rejects    int
-		stats      engine.Stats
-		verdict    func(v int) engine.Verdict
+		out        engine.Outcome
 		applied    int
 		dirtyTotal int
 		elapsed    time.Duration
@@ -607,12 +527,11 @@ func runDynamic(l *graph.Labeled, alg local.ObliviousAlgorithm, graphKind, backe
 			applied++
 		}
 		elapsed = time.Since(ustart)
-		accepted, rejects, stats, verdict = inc.Accepted(), inc.Rejects(), inc.Stats(), inc.Verdict
-		if out := inc.Outcome(); out.Err != nil {
+		if out = inc.Outcome(); out.Err != nil {
 			return fmt.Errorf("dynamic stream: %w", out.Err)
 		}
 	} else {
-		out := engine.EvalOblivious(dec, l, opts)
+		out = engine.EvalOblivious(dec, l, opts)
 		if out.Err != nil {
 			return fmt.Errorf("initial decision: %w", out.Err)
 		}
@@ -632,13 +551,6 @@ func runDynamic(l *graph.Labeled, alg local.ObliviousAlgorithm, graphKind, backe
 			}
 		}
 		elapsed = time.Since(ustart)
-		accepted, stats = out.Accepted, out.Stats
-		for _, vd := range out.Verdicts {
-			if vd == engine.No {
-				rejects++
-			}
-		}
-		verdict = func(v int) engine.Verdict { return out.Verdicts[v] }
 		dirtyTotal = applied * n
 	}
 
@@ -654,22 +566,37 @@ func runDynamic(l *graph.Labeled, alg local.ObliviousAlgorithm, graphKind, backe
 				applied, dirtyTotal, n)
 		}
 	}
-	if !summary {
-		for v := 0; v < n; v++ {
-			fmt.Printf("  node %3d  label=%-8q  verdict=%s\n", v, l.Labels[v], verdict(v))
+	rejects := 0
+	for _, vd := range out.Verdicts {
+		if vd == engine.No {
+			rejects++
 		}
 	}
-	if accepted {
-		fmt.Println("globally ACCEPTED (all nodes yes)")
-	} else {
-		fmt.Printf("globally REJECTED (%d nodes say no)\n", rejects)
-	}
-	fmt.Printf("engine: workers=%d evaluated=%d", stats.Workers, stats.Evaluated)
+	printVerdicts(l, out, summary, fmt.Sprintf("%d nodes say no", rejects))
+	fmt.Printf("engine: workers=%d evaluated=%d", out.Stats.Workers, out.Stats.Evaluated)
 	if dedup {
-		fmt.Printf(" dedupHits=%d distinctViews=%d", stats.DedupHits, stats.DistinctViews)
+		fmt.Printf(" dedupHits=%d distinctViews=%d", out.Stats.DedupHits, out.Stats.DistinctViews)
 	}
 	fmt.Println()
 	return nil
+}
+
+// printVerdicts prints every node's verdict, unless summary, and then the
+// global verdict; rejected says why a rejecting instance was rejected.
+func printVerdicts(l *graph.Labeled, out engine.Outcome, summary bool, rejected string) {
+	if !summary {
+		for v, vd := range out.Verdicts {
+			fmt.Printf("  node %3d  label=%-8q  verdict=%s\n", v, l.Labels[v], vd)
+		}
+	}
+	switch {
+	case out.Err != nil:
+		fmt.Printf("globally UNDECIDED: %v\n", out.Err)
+	case out.Accepted:
+		fmt.Println("globally ACCEPTED (all nodes yes)")
+	default:
+		fmt.Printf("globally REJECTED (%s)\n", rejected)
+	}
 }
 
 // printShardedStats reports the halo-exchange accounting of a sharded-mp
@@ -711,43 +638,5 @@ func buildScheduler(name string, shards int, graphKind string) (engine.Scheduler
 		return engine.MessagePassing, nil
 	default:
 		return nil, fmt.Errorf("unknown backend %q", name)
-	}
-}
-
-// buildGraph builds the -graph family at size -n; family.New refuses sizes
-// outside the family's range before anything is allocated.
-func buildGraph(kind string, n int, seed int64) (*graph.Graph, error) {
-	_, build, err := family.New(kind, n, seed)
-	if err != nil {
-		return nil, err
-	}
-	return build(), nil
-}
-
-// buildDecider resolves a decider name: deterministic deciders return an
-// ObliviousAlgorithm, randomized ones a RandomizedAlgorithm (exactly one is
-// non-nil).
-func buildDecider(name string, g *graph.Graph, seed int64) (*graph.Labeled, local.ObliviousAlgorithm, local.RandomizedAlgorithm, error) {
-	switch name {
-	case "3col":
-		l := graph.RandomLabels(g, []graph.Label{"0", "1", "2"}, seed)
-		return l, props.ThreeColoringVerifier(), nil, nil
-	case "mis":
-		l := graph.RandomLabels(g, []graph.Label{"0", "1"}, seed)
-		return l, props.MISVerifier(), nil, nil
-	case "degree2":
-		return graph.UniformlyLabeled(g, ""), props.BoundedDegreeVerifier(2), nil, nil
-	case "triangle-free":
-		return graph.UniformlyLabeled(g, ""), props.TriangleFreeVerifier(), nil, nil
-	case "forest":
-		l := graph.NewLabeled(g, props.CertifyForest(g))
-		return l, props.ForestCertVerifier(), nil, nil
-	case "coin":
-		alg := local.RandomizedFunc("coin(1/64)", 0, func(_ *graph.View, rng *rand.Rand) local.Verdict {
-			return local.Verdict(rng.Intn(64) != 0)
-		})
-		return graph.UniformlyLabeled(g, ""), nil, alg, nil
-	default:
-		return nil, nil, nil, fmt.Errorf("unknown decider %q", name)
 	}
 }

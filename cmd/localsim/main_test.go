@@ -101,14 +101,17 @@ func TestLocalsimUpFrontValidation(t *testing.T) {
 			t.Errorf("localsim %v accepted a bad invocation", args)
 		}
 	}
-	// Validation must run before profiling starts: an invalid invocation
-	// must never create the profile file.
-	prof := filepath.Join(t.TempDir(), "should-not-exist.prof")
-	if err := run([]string{"-graph", "mystery", "-cpuprofile", prof}); err == nil {
-		t.Error("invalid invocation with -cpuprofile accepted")
-	}
-	if _, err := os.Stat(prof); err == nil {
-		t.Error("invalid invocation still created the profile file")
+	// Validation must run before profiling starts: an invalid invocation,
+	// an unknown family or a size outside the family's range, must never
+	// create the profile file.
+	for _, args := range [][]string{{"-graph", "mystery"}, {"-graph", "cycle", "-n", "2"}, {"-decider", "mystery"}} {
+		prof := filepath.Join(t.TempDir(), "should-not-exist.prof")
+		if err := run(append(args, "-cpuprofile", prof)); err == nil {
+			t.Errorf("invalid invocation %v with -cpuprofile accepted", args)
+		}
+		if _, err := os.Stat(prof); err == nil {
+			t.Errorf("invalid invocation %v still created the profile file", args)
+		}
 	}
 }
 

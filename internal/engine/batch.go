@@ -2,11 +2,11 @@ package engine
 
 import "repro/internal/graph"
 
-// EvalBatch evaluates one decider on a slice of identifier-carrying
-// instances through a single scheduler launch. Per-outcome verdicts and
-// acceptance are exactly those of calling Eval on each instance with the
-// same options (the batch parity suite pins this per scheduler); what the
-// batch amortises is everything around the verdicts:
+// EvalBatchOblivious evaluates one decider on a slice of identifier-free
+// labelled graphs through a single scheduler launch. Per-outcome verdicts
+// and acceptance are exactly those of calling EvalOblivious on each graph
+// with the same options (the batch parity suite pins this per scheduler);
+// what the batch amortises is everything around the verdicts:
 //
 //   - one worker pool for the whole slice instead of a spawn/join per
 //     instance, with instances handed out by an atomic counter;
@@ -24,50 +24,21 @@ import "repro/internal/graph"
 // batch of one delegates to the scheduler's normal per-instance run (which
 // parallelises across nodes), and the MessagePassing backend always runs
 // per-instance: it assembles views operationally and has no batched form.
-func EvalBatch(dec Decider, batch []*graph.Instance, opts Options) []Outcome {
-	items := make([]batchItem, len(batch))
-	for i, in := range batch {
-		items[i] = batchItem{l: in.Labeled, in: in}
-	}
-	return evalBatch(dec, items, opts)
-}
-
-// EvalBatchOblivious is EvalBatch for identifier-free evaluation — the
-// batched equivalent of EvalOblivious, and the variant on which the shared
-// dedup cache actually engages (identifiers disable dedup instance-wise,
-// exactly as in Eval).
 func EvalBatchOblivious(dec Decider, batch []*graph.Labeled, opts Options) []Outcome {
-	items := make([]batchItem, len(batch))
-	for i, l := range batch {
-		items[i] = batchItem{l: l}
-	}
-	return evalBatch(dec, items, opts)
-}
-
-// batchItem is one instance of a batch: a labelled graph plus its optional
-// identifier assignment.
-type batchItem struct {
-	l  *graph.Labeled
-	in *graph.Instance
-}
-
-func evalBatch(dec Decider, items []batchItem, opts Options) []Outcome {
-	outcomes := make([]Outcome, len(items))
-	if len(items) == 0 {
+	outcomes := make([]Outcome, len(batch))
+	if len(batch) == 0 {
 		return outcomes
 	}
 	// One cache handle for the whole batch, handed to every job as its
 	// Options.Cache, so a Dedup batch without an explicit cache shares one
-	// private cache instead of creating one per instance. Soundness is still
-	// gated per-instance by newJob (identifier-carrying instances keep dedup
-	// off), and Stats.CacheShared still reports whether the caller supplied
-	// the cache.
+	// private cache instead of creating one per instance. Stats.CacheShared
+	// still reports whether the caller supplied the cache.
 	cache, shared := newCache(dec, opts)
 	jobOpts := opts
 	jobOpts.Cache = cache
-	jobs := make([]*job, len(items))
-	for i, it := range items {
-		j, err := newJob(dec, it.l, it.in, jobOpts)
+	jobs := make([]*job, len(batch))
+	for i, l := range batch {
+		j, err := newJob(dec, l, nil, jobOpts)
 		if err != nil {
 			// Validation errors are a property of (decider, options): they
 			// fail every instance of the batch identically.
@@ -84,7 +55,7 @@ func evalBatch(dec Decider, items []batchItem, opts Options) []Outcome {
 	switch s := jobs[0].opts.Scheduler.(type) {
 	case seqScheduler:
 	case shardedScheduler:
-		width = poolWidth(s.workers, len(items))
+		width = poolWidth(s.workers, len(batch))
 	default:
 		// MessagePassing (or an unknown backend): no batched form; run each
 		// instance through the scheduler's own per-instance path.
@@ -93,7 +64,7 @@ func evalBatch(dec Decider, items []batchItem, opts Options) []Outcome {
 		}
 		return outcomes
 	}
-	if len(items) == 1 {
+	if len(batch) == 1 {
 		outcomes[0] = jobs[0].run()
 		return outcomes
 	}
@@ -108,7 +79,7 @@ func evalBatch(dec Decider, items []batchItem, opts Options) []Outcome {
 				if x == nil {
 					x = j.extractor()
 				} else {
-					j.rebind(x)
+					x.Reset(j.l) // reuses every buffer
 				}
 				j.stats.Workers = 1
 				j.evalNodes(&pool{n: j.n, width: 1}, x)
@@ -119,14 +90,4 @@ func evalBatch(dec Decider, items []batchItem, opts Options) []Outcome {
 		}
 	})
 	return outcomes
-}
-
-// rebind points an existing per-worker extractor at this job's host,
-// reusing every scratch buffer (see graph.ViewExtractor.Reset).
-func (j *job) rebind(x *graph.ViewExtractor) {
-	if j.in != nil {
-		x.ResetInstance(j.in)
-	} else {
-		x.Reset(j.l)
-	}
 }

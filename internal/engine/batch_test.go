@@ -8,17 +8,20 @@ import (
 	"repro/internal/graph"
 )
 
-// The batch parity suite: EvalBatch / EvalBatchOblivious must produce, per
-// instance, exactly the Verdicts and Accepted of the per-instance Eval /
-// EvalOblivious call with the same options — on every scheduler, decider
-// (deterministic, randomized, ID-using), and option combination. Batching
-// may only change the cost accounting, never a verdict.
+// The batch parity suite: EvalBatchOblivious must produce, per instance,
+// exactly the Verdicts and Accepted of the per-instance EvalOblivious call
+// with the same options — on every scheduler, identifier-free decider
+// (deterministic and randomized), and option combination. Batching may only
+// change the cost accounting, never a verdict.
 
 func TestEvalBatchParity(t *testing.T) {
 	schedulers := []Scheduler{Sequential, Sharded, ShardedWith(3), MessagePassing, ShardedMPWith(3)}
 	property := func(seed int64) bool {
 		base := parityInstances(seed)
 		for name, dec := range parityDeciders() {
+			if idDeciders[name] {
+				continue // batches are identifier-free
+			}
 			hosts := base
 			if name == "nld-cert" {
 				hosts = make([]*graph.Labeled, len(base))
@@ -26,30 +29,13 @@ func TestEvalBatchParity(t *testing.T) {
 					hosts[i] = withCerts(l)
 				}
 			}
-			var instances []*graph.Instance
-			if idDeciders[name] {
-				instances = make([]*graph.Instance, len(hosts))
-				for i, l := range hosts {
-					instances[i] = graph.NewInstance(l, idsFor(l.N(), seed+int64(i)))
-				}
-			}
 			for _, sched := range schedulers {
 				for _, dedup := range []bool{false, true} {
 					for _, earlyExit := range []bool{false, true} {
 						opts := Options{Scheduler: sched, Dedup: dedup, EarlyExit: earlyExit, Seed: seed}
-						var got []Outcome
-						if instances != nil {
-							got = EvalBatch(dec, instances, opts)
-						} else {
-							got = EvalBatchOblivious(dec, hosts, opts)
-						}
+						got := EvalBatchOblivious(dec, hosts, opts)
 						for i := range hosts {
-							var want Outcome
-							if instances != nil {
-								want = Eval(dec, instances[i], opts)
-							} else {
-								want = EvalOblivious(dec, hosts[i], opts)
-							}
+							want := EvalOblivious(dec, hosts[i], opts)
 							if got[i].Accepted != want.Accepted {
 								t.Logf("seed=%d decider=%s sched=%s dedup=%v early=%v instance=%d: batch accepted %v, eval %v",
 									seed, name, sched.Name(), dedup, earlyExit, i, got[i].Accepted, want.Accepted)

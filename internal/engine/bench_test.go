@@ -149,8 +149,8 @@ func BenchmarkParallelScaling(b *testing.B) {
 	}
 }
 
-// BenchmarkEvalBatch measures the many-small-instances regime EvalBatch
-// exists for — hundreds of small hosts through one launch — against the
+// BenchmarkEvalBatch measures the many-small-instances regime
+// EvalBatchOblivious exists for — hundreds of small hosts through one launch — against the
 // per-instance Eval loop every caller ran before. Both arms get the same
 // options including an explicit fresh cache per iteration, so the measured
 // gap is pure launch/extractor amortisation, not cache sharing (that effect

@@ -18,12 +18,12 @@
 //     exchanging halo rings) — all guaranteed to produce identical per-node
 //     verdicts, which the parity suite enforces.
 //
-// Every driver — the schedulers, EvalBatch, Incremental and EvalTrials — is
-// built on one evaluation kernel (kernel.go): per-worker counters merged
-// once, one guarded decide, one worker pool, and one commit path from which
-// acceptance is derived. The higher layers (internal/local, internal/decide,
-// internal/experiments, cmd/localsim) are thin adapters over Eval and
-// EvalOblivious.
+// Every evaluation path — the schedulers, EvalBatchOblivious, Incremental
+// and EvalTrials — is built on one evaluation kernel (kernel.go): per-worker
+// counters merged once, one guarded decide, one worker pool, and one commit
+// path from which acceptance is derived. The higher layers (internal/local,
+// internal/decide, internal/experiments, cmd/localsim) are thin adapters
+// over Eval and EvalOblivious.
 package engine
 
 import (
@@ -268,7 +268,7 @@ type Options struct {
 	// condition documented on ViewCache. When nil and Dedup is set, the
 	// engine uses a private NewViewCache for the one evaluation.
 	Cache *ViewCache
-	// Ctx, when set, bounds the evaluation: every scheduler (and EvalBatch)
+	// Ctx, when set, bounds the evaluation: every scheduler (and a batch)
 	// polls it before each node's decide and stops deciding once it is done,
 	// returning Outcome{Accepted: false, Err: wrapping ctx.Err()}. This is
 	// how a serving layer propagates per-request deadlines into the engine.

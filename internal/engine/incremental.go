@@ -50,7 +50,7 @@ type EdgeOp struct {
 // surface as per-node errors that heal on the next touching update.
 //
 // The session owns its instance: after NewIncremental, every mutation of the
-// graph must go through ApplyEdge/ApplyUpdates and every label change
+// graph must go through ApplyEdge and every label change
 // through ApplyLabel (or InvalidateLabels when labels were rewritten in
 // place). Mutating the host directly desynchronises the verdict table; the
 // session panics on the next update if the graph's generation moved without
@@ -164,21 +164,6 @@ func (inc *Incremental) ApplyEdge(u, v int, add bool) int {
 	inc.checkGen()
 	inc.beginDirty()
 	inc.collectOp(u, v, add)
-	inc.gen = inc.l.G.Generation()
-	inc.repair()
-	return len(inc.dirty)
-}
-
-// ApplyUpdates applies a batch of edge updates in order and repairs the
-// union of their dirty balls in one sweep (re-deciding is idempotent, so one
-// repair against the final graph covers every intermediate state). It
-// returns the number of dirty nodes re-decided.
-func (inc *Incremental) ApplyUpdates(ops []EdgeOp) int {
-	inc.checkGen()
-	inc.beginDirty()
-	for _, op := range ops {
-		inc.collectOp(op.U, op.V, op.Add)
-	}
 	inc.gen = inc.l.G.Generation()
 	inc.repair()
 	return len(inc.dirty)

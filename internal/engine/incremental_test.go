@@ -2,6 +2,7 @@ package engine
 
 import (
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 
@@ -57,33 +58,6 @@ func TestIncrementalEdgeLifecycle(t *testing.T) {
 	}
 	if !inc.Accepted() || inc.Rejects() != 0 {
 		t.Fatalf("cycle restored but accepted=%v rejects=%d", inc.Accepted(), inc.Rejects())
-	}
-}
-
-// TestIncrementalBatchedUpdates checks ApplyUpdates repairs the union once
-// and lands on the same state as single-op application.
-func TestIncrementalBatchedUpdates(t *testing.T) {
-	dec := degreeAtMost(2)
-	ops := []EdgeOp{{U: 1, V: 20, Add: true}, {U: 5, V: 33, Add: true}, {U: 1, V: 20, Add: false}}
-
-	a := graph.UniformlyLabeled(graph.Cycle(48), "c")
-	incA := MustNewIncremental(dec, a, Options{})
-	incA.ApplyUpdates(ops)
-
-	b := graph.UniformlyLabeled(graph.Cycle(48), "c")
-	incB := MustNewIncremental(dec, b, Options{})
-	for _, op := range ops {
-		incB.ApplyEdge(op.U, op.V, op.Add)
-	}
-
-	if incA.Accepted() != incB.Accepted() || incA.Rejects() != incB.Rejects() {
-		t.Fatalf("batched state (%v,%d) != sequential state (%v,%d)",
-			incA.Accepted(), incA.Rejects(), incB.Accepted(), incB.Rejects())
-	}
-	for v := 0; v < 48; v++ {
-		if incA.Verdict(v) != incB.Verdict(v) {
-			t.Fatalf("node %d: batched %v != sequential %v", v, incA.Verdict(v), incB.Verdict(v))
-		}
 	}
 }
 
@@ -244,39 +218,51 @@ func TestIncrementalShardedRepair(t *testing.T) {
 	// hangs on this exact instance too — the random family is evaluated
 	// direct throughout the repo).
 	g := graph.Random(400, 0.02, 11)
-	dec := Decider{Name: "viewsize-r1", Horizon: 1, Decide: func(view *graph.View) Verdict {
-		return Verdict(view.N()%5 != 0)
+	dec := Decider{Name: "viewsize-nox-r1", Horizon: 1, Decide: func(view *graph.View) Verdict {
+		return Verdict(view.N()%5 != 0 && !slices.Contains(view.Labels, "x"))
 	}}
-	mk := func(sched Scheduler) *Incremental {
+	type session struct {
+		inc *Incremental
+		l   *graph.Labeled
+	}
+	mk := func(sched Scheduler) session {
 		l := graph.NewLabeled(g.Clone(), nil)
-		return MustNewIncremental(dec, l, Options{Scheduler: sched})
+		return session{MustNewIncremental(dec, l, Options{Scheduler: sched}), l}
 	}
-	seq := mk(Sequential)
-	shd := mk(ShardedWith(4))
-	// A wide batch makes the update's dirty set itself large enough for the
-	// pool (the initial 400-node repair already ran sharded).
-	var batch []EdgeOp
+	seq, shd := mk(Sequential), mk(ShardedWith(4))
+	// Relabelling 40 spread nodes in place and invalidating them at once
+	// makes the update's dirty set, the union of their balls, large enough
+	// for the pool (the initial 400-node repair already ran sharded).
+	var wide []int
 	for i := 0; i < 40; i++ {
-		batch = append(batch, EdgeOp{U: i, V: 200 + i, Add: true})
+		wide = append(wide, 10*i)
 	}
-	steps := [][]EdgeOp{
-		batch,
-		{{U: 0, V: 200, Add: false}, {U: 3, V: 77, Add: true}},
+	steps := []func(s session){
+		func(s session) {
+			for _, v := range wide {
+				s.l.Labels[v] = "x"
+			}
+			s.inc.InvalidateLabels(wide)
+		},
+		func(s session) {
+			s.inc.ApplyLabel(0, "")
+			s.inc.ApplyEdge(3, 77, true)
+		},
 	}
-	for _, ops := range steps {
-		seq.ApplyUpdates(ops)
-		shd.ApplyUpdates(ops)
-		if seq.Accepted() != shd.Accepted() || seq.Rejects() != shd.Rejects() {
+	for _, step := range steps {
+		step(seq)
+		step(shd)
+		if seq.inc.Accepted() != shd.inc.Accepted() || seq.inc.Rejects() != shd.inc.Rejects() {
 			t.Fatalf("sharded repair diverged: (%v,%d) vs (%v,%d)",
-				seq.Accepted(), seq.Rejects(), shd.Accepted(), shd.Rejects())
+				seq.inc.Accepted(), seq.inc.Rejects(), shd.inc.Accepted(), shd.inc.Rejects())
 		}
 		for v := 0; v < 400; v++ {
-			if seq.Verdict(v) != shd.Verdict(v) {
-				t.Fatalf("node %d: sequential %v != sharded %v", v, seq.Verdict(v), shd.Verdict(v))
+			if seq.inc.Verdict(v) != shd.inc.Verdict(v) {
+				t.Fatalf("node %d: sequential %v != sharded %v", v, seq.inc.Verdict(v), shd.inc.Verdict(v))
 			}
 		}
 	}
-	if ws := shd.Stats().Workers; ws < 2 {
+	if ws := shd.inc.Stats().Workers; ws < 2 {
 		t.Fatalf("sharded session never used its pool (workers=%d)", ws)
 	}
 }

@@ -10,10 +10,10 @@ import (
 )
 
 // This file is the engine's one evaluation kernel. The sequential and
-// sharded schedulers, EvalBatch, Incremental repairs and the decide stage of
-// the two message-passing runtimes are built from the same four parts (the
-// flooding runtime's round sweeps and ShardedMP's encode stage use the pool
-// and counters too):
+// sharded schedulers, EvalBatchOblivious, Incremental repairs and the decide
+// stage of the two message-passing runtimes are built from the same four
+// parts (the flooding runtime's round sweeps and ShardedMP's encode stage
+// use the pool and counters too):
 //
 //   - counters: each worker tallies into its own counters and merges them
 //     into Stats once, when it finishes;

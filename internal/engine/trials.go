@@ -152,8 +152,10 @@ type TrialOptions struct {
 }
 
 // TrialStats is the outcome of a Monte Carlo sweep. For a fixed seed every
-// field is a pure function of the inputs — worker count and scheduling
-// cannot change it.
+// committed statistic — Trials, Accepted, Estimate, CI, Confidence,
+// Stopped, the prefix fields and Verdicts — is a pure function of the
+// inputs: worker count and scheduling cannot change it. Evaluated and
+// Workers describe the run instead and are schedule-dependent.
 type TrialStats struct {
 	// Trials is the number of trials actually committed (fewer than
 	// requested when the stopping rule fired).
@@ -177,8 +179,12 @@ type TrialStats struct {
 	PrefixStats Stats
 	// Evaluated counts DecideRand invocations across all committed and
 	// discarded trials (per-trial early exit keeps it below Trials×Nodes).
+	// It is schedule-dependent: on more than one worker, a worker may run
+	// ahead of a stalled committed prefix and decide trials that the
+	// adaptive stop or an error then discards.
 	Evaluated int
-	// Workers is the size of the trial worker pool.
+	// Workers is the size of the trial worker pool, which follows
+	// TrialOptions.Workers and GOMAXPROCS; it is schedule-dependent too.
 	Workers int
 	// Verdicts is the per-trial acceptance verdict sequence, indexed by
 	// trial: Verdicts[t] is Yes iff trial t accepted. Length Trials.

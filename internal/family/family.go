@@ -1,9 +1,13 @@
-// Package family is the vocabulary of parameterised graph families that the
-// command-line simulator and the decision service build on request. The
-// graph constructors panic outside their ranges, and an oversized request
-// must be refusable before it allocates, so New checks a request against the
-// family's range and the graph package's size bounds and reports the
-// instance's node count without building anything.
+// Package family is the commands' vocabulary, graph families and deciders,
+// each declared once: localsim and decided resolve every -graph and -decider
+// name through it.
+//
+// New checks a family request against the family's range and the graph
+// package's size bounds and reports the instance's node count without
+// building anything, because the graph constructors panic outside their
+// ranges and an oversized request must be refusable before it allocates.
+// Decider labels a host for a named decider from one table, so the verdict
+// cache and the store key a name's verdicts identically in both commands.
 package family
 
 import (

@@ -1,11 +1,11 @@
 // Package fault is the deterministic fault-injection layer of the
 // reproduction: every fault the robustness suite can inject — corrupted
-// labels, tampered edges, lossy or delayed messages, crashing workers,
-// healing rounds — is drawn from a splitmix64 stream derived from one seed
-// and the fault's site coordinates. Replaying a seed replays the exact fault
-// trace, independent of scheduling, worker count, or wall-clock timing; the
-// determinism mirrors the engine's per-(trial, node) coin streams, so fault
-// experiments compose with the Monte Carlo subsystem without correlation.
+// labels, lossy or delayed messages, crashing workers, healing rounds — is
+// drawn from a splitmix64 stream derived from one seed and the fault's site
+// coordinates. Replaying a seed replays the exact fault trace, independent
+// of scheduling, worker count, or wall-clock timing; the determinism mirrors
+// the engine's per-(trial, node) coin streams, so fault experiments compose
+// with the Monte Carlo subsystem without correlation.
 package fault
 
 // Site identifies one class of injection site. Distinct sites index disjoint
@@ -17,7 +17,9 @@ type Site uint64
 const (
 	// SiteLabel draws label-corruption victims and replacement labels.
 	SiteLabel Site = iota + 1
-	// SiteEdge draws structural edge-tampering victims.
+	// SiteEdge is reserved for structural edge tampering, which nothing
+	// injects; it keeps the later sites' streams, and so every replayed
+	// fault trace, unchanged.
 	SiteEdge
 	// SiteMessage draws per-(round, edge) message fates.
 	SiteMessage

@@ -203,55 +203,6 @@ func TestCorruptLabelsDeterminismAndModels(t *testing.T) {
 	}
 }
 
-func TestTamperEdges(t *testing.T) {
-	l := pyramidLikeInstance()
-	origEdges := l.G.M()
-
-	t1, toggles1 := TamperEdges(l, 5, 3)
-	t2, toggles2 := TamperEdges(l, 5, 3)
-	if !reflect.DeepEqual(toggles1, toggles2) {
-		t.Fatal("same seed toggled different edges")
-	}
-	if len(toggles1) != 5 {
-		t.Fatalf("toggles = %d, want 5", len(toggles1))
-	}
-	if l.G.M() != origEdges {
-		t.Fatal("TamperEdges mutated its input graph")
-	}
-	if !reflect.DeepEqual(t1.Labels, l.Labels) {
-		t.Error("TamperEdges must preserve labels")
-	}
-	// Each toggle flips presence; net edge count = orig - removed + inserted.
-	parity := make(map[[2]int]int)
-	for _, e := range toggles1 {
-		parity[e]++
-	}
-	want := origEdges
-	for e, c := range parity {
-		if c%2 == 0 {
-			continue
-		}
-		had := false
-		for _, ge := range l.G.Edges() {
-			if ge == e {
-				had = true
-				break
-			}
-		}
-		if had {
-			want--
-		} else {
-			want++
-		}
-	}
-	if t1.G.M() != want {
-		t.Errorf("tampered graph has %d edges, want %d", t1.G.M(), want)
-	}
-	if t2.G.M() != t1.G.M() {
-		t.Error("same seed built different tampered graphs")
-	}
-}
-
 func TestParseLabelModelRoundTrip(t *testing.T) {
 	for _, m := range []LabelModel{Flip, Swap, Randomize} {
 		got, err := ParseLabelModel(m.String())

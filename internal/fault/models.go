@@ -129,41 +129,3 @@ func nextLabel(alphabet []graph.Label, lab graph.Label) graph.Label {
 	i := sort.Search(len(alphabet), func(i int) bool { return alphabet[i] >= lab })
 	return alphabet[(i+1)%len(alphabet)]
 }
-
-// TamperEdges returns a copy of l with k edge toggles applied — each toggle
-// picks a node pair from the seed's SiteEdge stream and removes the edge if
-// present, inserts it otherwise — plus the toggled pairs in draw order.
-// Structural tampering models a corrupted topology rather than corrupted
-// state; verifiers whose horizon covers a toggle see a different view.
-func TamperEdges(l *graph.Labeled, k int, seed int64) (*graph.Labeled, [][2]int) {
-	n := l.N()
-	if k <= 0 || n < 2 {
-		return l.Clone(), nil
-	}
-	present := make(map[[2]int]bool, l.G.M())
-	for _, e := range l.G.Edges() {
-		present[e] = true
-	}
-	s := streamFor(seed, SiteEdge, 0, 0, 0)
-	toggles := make([][2]int, 0, k)
-	for i := 0; i < k; i++ {
-		u := s.Intn(n)
-		v := s.Intn(n - 1)
-		if v >= u {
-			v++
-		}
-		if u > v {
-			u, v = v, u
-		}
-		e := [2]int{u, v}
-		present[e] = !present[e]
-		toggles = append(toggles, e)
-	}
-	b := graph.NewBuilderHint(n, len(present))
-	for e, on := range present {
-		if on {
-			b.AddEdge(e[0], e[1])
-		}
-	}
-	return graph.NewLabeled(b.Build(), append([]graph.Label(nil), l.Labels...)), toggles
-}

@@ -105,8 +105,8 @@ func TestIsomorphicAgainstBruteForce(t *testing.T) {
 		h := Random(n, 0.4, int64(trial+1000))
 		lc := RandomLabels(h, alphabet, int64(trial*5+2))
 		if got, want := Isomorphic(la, lc), BruteForceIsomorphic(la, lc); got != want {
-			t.Fatalf("trial %d: Isomorphic=%v, brute force=%v\nA:\n%s\nB:\n%s",
-				trial, got, want, FormatAdjacency(la), FormatAdjacency(lc))
+			t.Fatalf("trial %d: Isomorphic=%v, brute force=%v\nA: %v %v\nB: %v %v",
+				trial, got, want, la.G.Edges(), la.Labels, lc.G.Edges(), lc.Labels)
 		}
 	}
 }

@@ -1,10 +1,6 @@
 package graph
 
-import (
-	"fmt"
-	"sort"
-	"strings"
-)
+import "fmt"
 
 // Label is the local input x(v) of a node. Labels are opaque strings;
 // structured labels are encoded by their owning packages.
@@ -131,26 +127,4 @@ func (in *Instance) MaxID() int {
 // String renders a compact description.
 func (in *Instance) String() string {
 	return fmt.Sprintf("Instance(n=%d, m=%d, maxID=%d)", in.N(), in.G.M(), in.MaxID())
-}
-
-// FormatAdjacency renders an adjacency-list dump for debugging and CLI tools.
-func FormatAdjacency(l *Labeled) string {
-	var b strings.Builder
-	for v := 0; v < l.N(); v++ {
-		nbrs := l.G.Neighbors(v)
-		parts := make([]string, len(nbrs))
-		for i, u := range nbrs {
-			parts[i] = fmt.Sprint(u)
-		}
-		fmt.Fprintf(&b, "%4d [%s] -> %s\n", v, l.Labels[v], strings.Join(parts, " "))
-	}
-	return b.String()
-}
-
-// SortedLabels returns the multiset of labels in sorted order (useful for
-// isomorphism-invariant comparisons in tests).
-func (l *Labeled) SortedLabels() []Label {
-	out := append([]Label(nil), l.Labels...)
-	sort.Strings(out)
-	return out
 }

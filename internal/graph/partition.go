@@ -2,7 +2,7 @@ package graph
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 )
 
 // This file is the graph half of the sharded message-passing runtime: a
@@ -123,7 +123,7 @@ func (pt *Partition) assignBFSBlocked(n int) {
 	for s := 0; s < pt.p; s++ {
 		lo, hi := s*n/pt.p, (s+1)*n/pt.p
 		block := append([]int32(nil), order[lo:hi]...)
-		sort.Slice(block, func(i, k int) bool { return block[i] < block[k] })
+		slices.Sort(block)
 		for _, v := range block {
 			pt.shard[v] = int32(s)
 		}
@@ -201,7 +201,7 @@ func (pt *Partition) Halo(s, t int) (nodes, depth []int32) {
 	}
 	nodes = append([]int32(nil), q...)
 	tr.queue = q
-	sort.Slice(nodes, func(i, k int) bool { return nodes[i] < nodes[k] })
+	slices.Sort(nodes)
 	depth = make([]int32, len(nodes))
 	for i, v := range nodes {
 		depth[i] = tr.dist[v]

@@ -173,10 +173,6 @@ func TestAllObliviousViews(t *testing.T) {
 
 func TestLabeledHelpers(t *testing.T) {
 	l := NewLabeled(Path(3), []Label{"b", "a", "c"})
-	sorted := l.SortedLabels()
-	if sorted[0] != "a" || sorted[1] != "b" || sorted[2] != "c" {
-		t.Errorf("SortedLabels = %v", sorted)
-	}
 	c := l.Clone()
 	c.Labels[0] = "zzz"
 	if l.Labels[0] != "b" {

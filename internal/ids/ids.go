@@ -16,7 +16,6 @@ package ids
 import (
 	"fmt"
 	"math/rand"
-	"sort"
 )
 
 // Bound is the function f in assumption (B): identifiers in an n-node graph
@@ -244,12 +243,5 @@ func Renumberings(n, k int, b Bound, seed int64) [][]int {
 		keys[key] = struct{}{}
 		out = append(out, ids)
 	}
-	return out
-}
-
-// SortedCopy returns the identifiers in increasing order (handy in tests).
-func SortedCopy(ids []int) []int {
-	out := append([]int(nil), ids...)
-	sort.Ints(out)
 	return out
 }

@@ -204,17 +204,6 @@ func TestRenumberings(t *testing.T) {
 	}
 }
 
-func TestSortedCopy(t *testing.T) {
-	in := []int{3, 1, 2}
-	out := SortedCopy(in)
-	if out[0] != 1 || out[1] != 2 || out[2] != 3 {
-		t.Fatalf("SortedCopy = %v", out)
-	}
-	if in[0] != 3 {
-		t.Fatal("SortedCopy mutated input")
-	}
-}
-
 func TestBoundPanics(t *testing.T) {
 	t.Run("linear c<1", func(t *testing.T) {
 		defer func() {

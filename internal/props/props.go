@@ -346,36 +346,6 @@ func ParentPointers() decide.Property {
 	})
 }
 
-// LeaderUniqueSuite builds yes/no instances for the "exactly one leader"
-// property — the canonical example of a property in NLD (and LD with a
-// promise) but not LD*: counting leaders is global.
-func LeaderUniqueSuite(sizes []int) *decide.Suite {
-	s := &decide.Suite{Name: "unique-leader"}
-	for _, n := range sizes {
-		labels := make([]graph.Label, n)
-		for i := range labels {
-			labels[i] = "follower"
-		}
-		labels[0] = "leader"
-		s.Yes = append(s.Yes, graph.NewLabeled(graph.Cycle(n), labels))
-
-		noLabels := make([]graph.Label, n)
-		for i := range noLabels {
-			noLabels[i] = "follower"
-		}
-		s.No = append(s.No, graph.NewLabeled(graph.Cycle(n), noLabels))
-
-		twoLabels := make([]graph.Label, n)
-		for i := range twoLabels {
-			twoLabels[i] = "follower"
-		}
-		twoLabels[0] = "leader"
-		twoLabels[n/2] = "leader"
-		s.No = append(s.No, graph.NewLabeled(graph.Cycle(n), twoLabels))
-	}
-	return s
-}
-
 // ColoringSuite builds yes/no instances for ThreeColoring.
 func ColoringSuite() *decide.Suite {
 	cycle6 := graph.Cycle(6)

@@ -121,29 +121,6 @@ func TestParentPointers(t *testing.T) {
 	}
 }
 
-func TestLeaderUniqueSuite(t *testing.T) {
-	s := LeaderUniqueSuite([]int{4, 6})
-	if len(s.Yes) != 2 || len(s.No) != 4 {
-		t.Fatalf("suite sizes %d/%d", len(s.Yes), len(s.No))
-	}
-	// No horizon-t oblivious (or even ID-using) algorithm can decide this
-	// without global information; verify at least that the instances differ
-	// only globally: yes and zero-leader instances share all views far from
-	// the leader.
-	yes, no := s.Yes[1], s.No[2] // n=6 with leader, n=6 without
-	yesViews := graph.ObliviousViewSet(yes, 1)
-	noViews := graph.ObliviousViewSet(no, 1)
-	shared := 0
-	for code := range noViews {
-		if _, ok := yesViews[code]; ok {
-			shared++
-		}
-	}
-	if shared == 0 {
-		t.Error("expected view overlap between leader and no-leader cycles")
-	}
-}
-
 func TestForestCertSuiteAgainstProperty(t *testing.T) {
 	if err := ForestCertSuite([]int{3, 6, 9}).Check(ForestCert()); err != nil {
 		t.Fatal(err)
