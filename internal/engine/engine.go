@@ -33,7 +33,6 @@ import (
 	"math/rand"
 	"sync"
 	"sync/atomic"
-	"time"
 
 	"repro/internal/graph"
 )
@@ -292,10 +291,6 @@ type Options struct {
 	// negative is a validation error. After the last attempt the node is
 	// recorded as a VerdictError instead of killing the sweep.
 	MaxAttempts int
-	// RetryBackoff is the sleep before the first re-attempt of a crashed
-	// decide, doubling per further attempt. 0 means 100µs; negative
-	// disables backoff entirely (tests).
-	RetryBackoff time.Duration
 }
 
 // Eval evaluates a decider on every node of an identifier-carrying instance.
@@ -335,7 +330,6 @@ type job struct {
 
 	faults      Injector
 	maxAttempts int
-	backoff     time.Duration
 
 	cancelPoll
 	// rejected latches the first committed No.
@@ -369,13 +363,9 @@ func newJob(dec Decider, l *graph.Labeled, in *graph.Instance, opts Options) (*j
 		n:           l.N(),
 		faults:      opts.Faults,
 		maxAttempts: opts.MaxAttempts,
-		backoff:     opts.RetryBackoff,
 	}
 	if j.maxAttempts == 0 {
 		j.maxAttempts = defaultMaxAttempts
-	}
-	if j.backoff == 0 {
-		j.backoff = defaultRetryBackoff
 	}
 	if in == nil {
 		j.cache, j.shared = newCache(dec, opts)
@@ -408,10 +398,6 @@ func newCache(dec Decider, opts Options) (cache *ViewCache, shared bool) {
 // defaultMaxAttempts is the per-node attempt budget when Options leaves
 // MaxAttempts zero: one initial attempt plus two retries.
 const defaultMaxAttempts = 3
-
-// defaultRetryBackoff is the first-retry backoff when Options leaves
-// RetryBackoff zero. It doubles per further attempt.
-const defaultRetryBackoff = 100 * time.Microsecond
 
 // run dispatches to the scheduler and assembles the outcome.
 func (j *job) run() Outcome {

@@ -60,7 +60,7 @@ func gridInstance() *graph.Labeled {
 func TestCrashRespawnNeverLosesVerdicts(t *testing.T) {
 	plan := &fault.Plan{Seed: 21, Crash: &fault.CrashModel{Rate: 0.4}}
 	opts := func(s engine.Scheduler) engine.Options {
-		return engine.Options{Scheduler: s, Faults: plan, MaxAttempts: 8, RetryBackoff: -1}
+		return engine.Options{Scheduler: s, Faults: plan, MaxAttempts: 8}
 	}
 	eval := func(s engine.Scheduler) func(*graph.Labeled) engine.Outcome {
 		return func(l *graph.Labeled) engine.Outcome { return engine.EvalOblivious(degreeDecider(), l, opts(s)) }
@@ -137,7 +137,7 @@ func TestCrashExhaustionIsErrorNotAccept(t *testing.T) {
 	l := testInstance(12)
 	dec := degreeDecider()
 	plan := &fault.Plan{Seed: 1, Crash: &fault.CrashModel{Rate: 1}}
-	opts := engine.Options{Faults: plan, MaxAttempts: 2, RetryBackoff: -1}
+	opts := engine.Options{Faults: plan, MaxAttempts: 2}
 
 	out := engine.EvalOblivious(dec, l, opts)
 	if out.Accepted {
@@ -181,7 +181,7 @@ func TestGenuinePanicRespawn(t *testing.T) {
 			return engine.Yes
 		},
 	}
-	out := engine.EvalOblivious(flaky, l, engine.Options{MaxAttempts: 3, RetryBackoff: -1})
+	out := engine.EvalOblivious(flaky, l, engine.Options{MaxAttempts: 3})
 	if !out.Accepted || out.Err != nil {
 		t.Fatalf("flaky decider must recover on retry: accepted=%v err=%v", out.Accepted, out.Err)
 	}
@@ -200,7 +200,7 @@ func TestGenuinePanicRespawn(t *testing.T) {
 			return engine.Yes
 		},
 	}
-	out = engine.EvalOblivious(persistent, l, engine.Options{MaxAttempts: 3, RetryBackoff: -1})
+	out = engine.EvalOblivious(persistent, l, engine.Options{MaxAttempts: 3})
 	if out.Accepted {
 		t.Fatal("a persistently panicking node must not read as accepted")
 	}
@@ -372,10 +372,9 @@ func TestMessageAndCrashFaultsCompose(t *testing.T) {
 		Message: &fault.MessageModel{DropRate: 0.3, RetransmitBudget: 1},
 	}
 	out := engine.EvalOblivious(dec, l, engine.Options{
-		Scheduler:    engine.MessagePassing,
-		Faults:       plan,
-		MaxAttempts:  8,
-		RetryBackoff: -1,
+		Scheduler:   engine.MessagePassing,
+		Faults:      plan,
+		MaxAttempts: 8,
 	})
 	if out.Err != nil {
 		t.Fatalf("composed faults: %v", out.Err)

@@ -32,8 +32,9 @@ type EdgeOp struct {
 //   - for a label change at v the ball around v suffices, unchanged on either
 //     side.
 //
-// The dirty set is the union of those balls, computed with the shared
-// graph.Traversal scratch (0 allocs/op); dirty nodes are re-extracted through
+// The dirty set is the union of those balls, which is the radius-t ball
+// around the set of endpoints: one multi-source search
+// (graph.Traversal.BallAround, 0 allocs/op). Dirty nodes are re-extracted through
 // the same ViewExtractor / ViewCache / fast-path pipeline the from-scratch
 // engine uses, so a warm session decides an update in O(|dirty|) cache probes
 // — the differential fuzz suite pins the results bit-identical to a
@@ -80,10 +81,8 @@ type Incremental struct {
 	nfailed  int
 	errs     map[int]VerdictError
 
-	// Dirty-set scratch: epoch-stamped membership plus the node list, reused
-	// across updates.
-	mark  []uint64
-	epoch uint64
+	// dirty is the last update's dirty set: trav's ball scratch, or every
+	// node after the initial evaluation.
 	dirty []int
 
 	// Repair result buffers, committed single-threaded after the sweep.
@@ -118,7 +117,7 @@ func NewIncremental(dec Decider, l *graph.Labeled, opts Options) (*Incremental, 
 		trav:     graph.NewTraversal(),
 		verdicts: make([]Verdict, j.n),
 		failed:   make([]bool, j.n),
-		mark:     make([]uint64, j.n),
+		dirty:    make([]int, j.n),
 		gen:      l.G.Generation(),
 	}
 	inc.repairWork = inc.repairWorker
@@ -139,9 +138,8 @@ func NewIncremental(dec Decider, l *graph.Labeled, opts Options) (*Incremental, 
 	for v := range inc.verdicts {
 		inc.verdicts[v] = Yes
 	}
-	inc.beginDirty()
-	for v := 0; v < inc.n; v++ {
-		inc.dirty = append(inc.dirty, v)
+	for v := range inc.dirty {
+		inc.dirty[v] = v
 	}
 	inc.repair()
 	return inc, nil
@@ -162,7 +160,7 @@ func MustNewIncremental(dec Decider, l *graph.Labeled, opts Options) *Incrementa
 // Self-loops and out-of-range endpoints panic, matching graph.ApplyUpdate.
 func (inc *Incremental) ApplyEdge(u, v int, add bool) int {
 	inc.checkGen()
-	inc.beginDirty()
+	inc.dirty = inc.dirty[:0]
 	inc.collectOp(u, v, add)
 	inc.gen = inc.l.G.Generation()
 	inc.repair()
@@ -174,8 +172,7 @@ func (inc *Incremental) ApplyEdge(u, v int, add bool) int {
 func (inc *Incremental) ApplyLabel(v int, lab graph.Label) int {
 	inc.checkGen()
 	inc.l.Labels[v] = lab
-	inc.beginDirty()
-	inc.collectBall(v)
+	inc.collect(v)
 	inc.repair()
 	return len(inc.dirty)
 }
@@ -187,10 +184,7 @@ func (inc *Incremental) ApplyLabel(v int, lab graph.Label) int {
 // changes must go through ApplyEdge.
 func (inc *Incremental) InvalidateLabels(nodes []int) int {
 	inc.checkGen()
-	inc.beginDirty()
-	for _, v := range nodes {
-		inc.collectBall(v)
-	}
+	inc.collect(nodes...)
 	inc.repair()
 	return len(inc.dirty)
 }
@@ -265,24 +259,15 @@ func (inc *Incremental) checkGen() {
 	}
 }
 
-// beginDirty starts a fresh dirty set (one counter increment; membership is
-// epoch-stamped like the Traversal scratch).
-func (inc *Incremental) beginDirty() {
-	inc.epoch++
-	inc.dirty = inc.dirty[:0]
-}
-
 // collectOp applies one edge update to the host and collects its dirty
 // balls at the side of the update where they are sound: after an insertion,
 // before a removal.
 func (inc *Incremental) collectOp(u, v int, add bool) {
 	g := inc.l.G
 	if add {
-		if !g.ApplyUpdate(u, v, true) {
-			return
+		if g.ApplyUpdate(u, v, true) {
+			inc.collect(u, v)
 		}
-		inc.collectBall(u)
-		inc.collectBall(v)
 		return
 	}
 	if !g.HasEdge(u, v) {
@@ -290,19 +275,13 @@ func (inc *Incremental) collectOp(u, v int, add bool) {
 		// re-decide nodes no update affected.
 		return
 	}
-	inc.collectBall(u)
-	inc.collectBall(v)
+	inc.collect(u, v)
 	g.ApplyUpdate(u, v, false)
 }
 
-// collectBall unions the radius-t ball around v into the dirty set.
-func (inc *Incremental) collectBall(v int) {
-	for _, w := range inc.trav.Ball(inc.l.G, v, inc.dec.Horizon) {
-		if inc.mark[w] != inc.epoch {
-			inc.mark[w] = inc.epoch
-			inc.dirty = append(inc.dirty, w)
-		}
-	}
+// collect makes the radius-t ball around the centres the dirty set.
+func (inc *Incremental) collect(centres ...int) {
+	inc.dirty = inc.trav.BallAround(inc.l.G, centres, inc.dec.Horizon)
 }
 
 // repair re-decides every node in the dirty set against the current

@@ -142,8 +142,7 @@ func TestIncrementalFaultInjection(t *testing.T) {
 
 	// Node 5 crashes every attempt.
 	inc := MustNewIncremental(degreeAtMost(2), l, Options{
-		Faults:       crashNodes{5: -1},
-		RetryBackoff: -1,
+		Faults: crashNodes{5: -1},
 	})
 	if inc.Accepted() || inc.Failed() != 1 || inc.Rejects() != 0 {
 		t.Fatalf("accepted=%v failed=%d rejects=%d, want false/1/0", inc.Accepted(), inc.Failed(), inc.Rejects())
@@ -161,8 +160,7 @@ func TestIncrementalFaultInjection(t *testing.T) {
 	// Node 7 crashes only on attempt 0: retries recover the verdict.
 	l2 := graph.UniformlyLabeled(graph.Cycle(32), "c")
 	inc2 := MustNewIncremental(degreeAtMost(2), l2, Options{
-		Faults:       crashNodes{7: 1},
-		RetryBackoff: -1,
+		Faults: crashNodes{7: 1},
 	})
 	if !inc2.Accepted() || inc2.Failed() != 0 {
 		t.Fatalf("transient crash not retried through: accepted=%v failed=%d", inc2.Accepted(), inc2.Failed())

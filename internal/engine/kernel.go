@@ -80,7 +80,6 @@ func (j *job) guarded(c *counters, v int, body func(v int) Verdict) (Verdict, bo
 	for a := 0; a < j.maxAttempts; a++ {
 		if a > 0 {
 			c.retries++
-			j.backoffSleep(v, a)
 		}
 		verdict, err := j.attempt(v, a, body)
 		if err == nil {

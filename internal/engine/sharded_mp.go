@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"bytes"
 	"cmp"
 	"encoding/binary"
 	"fmt"
@@ -194,14 +195,24 @@ func (s shardedMPScheduler) run(j *job) {
 
 	// Encode stage: each shard serialises the rings of each of its
 	// out-links in ascending round, the order the receiver decodes them in,
-	// against the link's label dictionary. Every copy counts as sent.
+	// against the link's label dictionary. Every ring is encoded into the
+	// worker's scratch, sized once for its largest ring, and stored at its
+	// final size: one allocation per ring. Every copy counts as sent.
 	stages.run(func(sh int) {
 		c := counters{roundBytes: make([]int, t)}
+		bound := 0
+		for _, l := range outLinks[sh] {
+			for _, snd := range l.sends {
+				bound = max(bound, haloRingBound(j, snd.ring, withIDs))
+			}
+		}
+		scratch := make([]byte, 0, bound)
 		for _, l := range outLinks[sh] {
 			dict := make(map[graph.Label]int)
 			for i := range l.sends {
 				snd := &l.sends[i]
-				snd.payload = encodeHaloRing(j, dict, snd.ring, withIDs)
+				scratch = appendHaloRing(scratch[:0], j, dict, snd.ring, withIDs)
+				snd.payload = bytes.Clone(scratch)
 				c.messages += snd.copies
 				c.units += snd.copies * len(snd.ring.nodes)
 				c.haloBytes += snd.copies * len(snd.payload)
@@ -314,7 +325,29 @@ type ghostRec struct {
 // label delta; the node-disjoint rings are the adjacency delta (a node's
 // row ships exactly once per link, in the round its ring is due).
 func encodeHaloRing(j *job, dict map[graph.Label]int, ring haloRing, withIDs bool) []byte {
-	buf := binary.AppendUvarint(nil, uint64(ring.round))
+	return appendHaloRing(nil, j, dict, ring, withIDs)
+}
+
+// haloRingBound bounds the length of a ring's payload from its node count,
+// labels and row lengths: a varint of a 32-bit quantity takes at most
+// binary.MaxVarintLen32 bytes, the round, count and identifiers at most
+// binary.MaxVarintLen64.
+func haloRingBound(j *job, ring haloRing, withIDs bool) int {
+	n := 2 * binary.MaxVarintLen64
+	for _, v := range ring.nodes {
+		// Id gap, label reference or marker and length, degree, first
+		// neighbour, the label's bytes and the row's gaps.
+		n += 4*binary.MaxVarintLen32 + len(j.l.Labels[v]) + binary.MaxVarintLen32*j.l.G.Degree(int(v))
+		if withIDs {
+			n += binary.MaxVarintLen64
+		}
+	}
+	return n
+}
+
+// appendHaloRing appends encodeHaloRing's encoding of one ring to buf.
+func appendHaloRing(buf []byte, j *job, dict map[graph.Label]int, ring haloRing, withIDs bool) []byte {
+	buf = binary.AppendUvarint(buf, uint64(ring.round))
 	buf = binary.AppendUvarint(buf, uint64(len(ring.nodes)))
 	prev := int32(-1)
 	for _, v := range ring.nodes {

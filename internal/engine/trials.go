@@ -179,9 +179,10 @@ type TrialStats struct {
 	PrefixStats Stats
 	// Evaluated counts DecideRand invocations across all committed and
 	// discarded trials (per-trial early exit keeps it below Trials×Nodes).
-	// It is schedule-dependent: on more than one worker, a worker may run
-	// ahead of a stalled committed prefix and decide trials that the
-	// adaptive stop or an error then discards.
+	// It is schedule-dependent but bounded: a worker decides trial t only
+	// while t < committed + trialLead×Workers, so past the committed prefix
+	// at most that many trials can run ahead and be discarded by the
+	// adaptive stop or an error.
 	Evaluated int
 	// Workers is the size of the trial worker pool, which follows
 	// TrialOptions.Workers and GOMAXPROCS; it is schedule-dependent too.
@@ -249,6 +250,11 @@ const defaultConfidence = 0.95
 // MinTrials zero.
 const defaultMinTrials = 16
 
+// trialLead is how many trials per worker the sweep may decide past its
+// committed in-order prefix: enough to keep every worker busy while one
+// trial runs long, few enough that a stop discards little work.
+const trialLead = 4
+
 // EvalTrials runs a Monte Carlo sweep of a randomized decider over a
 // labelled graph (the Id-oblivious regime, where coins substitute for
 // identifiers): up to opts.Trials independent trials, each evaluating every
@@ -259,7 +265,10 @@ const defaultMinTrials = 16
 // but are committed strictly in trial order and the stopping rule is
 // evaluated only on committed prefixes — so Trials, Estimate, CI and the
 // per-trial verdict sequence are identical for every worker count, and any
-// single trial can be replayed via TrialSeed.
+// single trial can be replayed via TrialSeed. A worker waits before
+// deciding a trial more than trialLead×workers past the committed prefix,
+// and wakes on every commit and on stop, so the work a stop discards stays
+// bounded.
 //
 // Malformed deciders or options are returned as errors. A trial whose
 // decider panics is recovered: the sweep stops, and the statistics of the
@@ -322,10 +331,14 @@ func EvalTrials(dec TrialDecider, l *graph.Labeled, opts TrialOptions) (TrialSta
 	}
 
 	n := l.N()
+	window := trialLead * workers
 	var (
 		p    = pool{n: opts.Trials, width: workers}
 		stop atomic.Bool
 		mu   sync.Mutex
+		// advanced wakes workers waiting for the committed prefix, on every
+		// commit and on stop.
+		advanced = sync.NewCond(&mu)
 		// The in-order commit buffers grow with the trials claimed so far,
 		// never with opts.Trials: a sweep cut short by its deadline or by
 		// the stopping rule pays only for the trials it ran.
@@ -362,6 +375,17 @@ func EvalTrials(dec TrialDecider, l *graph.Labeled, opts TrialOptions) (TrialSta
 		if committed == opts.Trials {
 			stop.Store(true)
 		}
+		advanced.Broadcast()
+	}
+
+	// halt stops the sweep with err unless an earlier error won, waking
+	// every waiting worker. Called with mu held.
+	halt := func(err error) {
+		if sweepErr == nil {
+			sweepErr = err
+		}
+		stop.Store(true)
+		advanced.Broadcast()
 	}
 
 	// runTrial is one trial's coin-stage evaluation, guarded: a decider panic
@@ -402,12 +426,17 @@ func EvalTrials(dec TrialDecider, l *graph.Labeled, opts TrialOptions) (TrialSta
 		coins := rand.New(&coinSource{})
 		decided := 0
 		for t, more := p.claim(); more && !stop.Load(); t, more = p.claim() {
+			mu.Lock()
+			for t >= committed+window && !stop.Load() {
+				advanced.Wait()
+			}
+			mu.Unlock()
+			if stop.Load() {
+				break
+			}
 			if poll.checkCanceled() {
 				mu.Lock()
-				if sweepErr == nil {
-					sweepErr = fmt.Errorf("engine: trial sweep canceled: %w", opts.Ctx.Err())
-				}
-				stop.Store(true)
+				halt(fmt.Errorf("engine: trial sweep canceled: %w", opts.Ctx.Err()))
 				mu.Unlock()
 				break
 			}
@@ -416,10 +445,7 @@ func EvalTrials(dec TrialDecider, l *graph.Labeled, opts TrialOptions) (TrialSta
 			if err != nil {
 				// First error wins; the sweep stops and the committed in-order
 				// prefix is what the caller gets back.
-				if sweepErr == nil {
-					sweepErr = err
-				}
-				stop.Store(true)
+				halt(err)
 				mu.Unlock()
 				break
 			}

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"repro/internal/graph"
 )
@@ -84,6 +85,36 @@ func TestEvalTrialsWorkerInvariance(t *testing.T) {
 // Adaptive stopping must fire when the estimate is far from the threshold,
 // respect the MinTrials floor, and never fire when the threshold sits inside
 // the interval.
+// TestEvalTrialsLeadBoundsDiscardedWork pins the claim window: while the
+// sweep's first decide call stalls one worker, the other decides at most
+// trialLead×workers trials past the committed prefix, so a stop at the
+// 16-trial floor leaves Evaluated within (16 + window)·n on every run.
+func TestEvalTrialsLeadBoundsDiscardedWork(t *testing.T) {
+	l := graph.UniformlyLabeled(graph.Cycle(12), "c")
+	const workers = 2
+	limit := (defaultMinTrials + trialLead*workers) * l.N()
+	for run := 0; run < 5; run++ {
+		var calls atomic.Int64
+		dec := TrialDecider{Name: "stall", Horizon: 1, RandIgnoresView: true,
+			DecideRand: func(*graph.View, *rand.Rand) Verdict {
+				if calls.Add(1) == 1 {
+					time.Sleep(30 * time.Millisecond)
+				}
+				return Yes
+			}}
+		stats, err := EvalTrials(dec, l, TrialOptions{Trials: 500, Seed: 1, Workers: workers, AdaptiveStop: true, Threshold: 0.5})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !stats.Stopped || stats.Trials != defaultMinTrials {
+			t.Fatalf("run %d: stopped=%v after %d trials, want a stop at the %d-trial floor", run, stats.Stopped, stats.Trials, defaultMinTrials)
+		}
+		if stats.Evaluated > limit {
+			t.Fatalf("run %d: Evaluated = %d, want at most (%d + %d)·%d = %d", run, stats.Evaluated, defaultMinTrials, trialLead*workers, l.N(), limit)
+		}
+	}
+}
+
 func TestEvalTrialsAdaptiveStop(t *testing.T) {
 	l := graph.UniformlyLabeled(graph.Cycle(8), "u")
 	dec := TrialDecider{Name: "coin2", Horizon: 0, DecideRand: trialCoin(2)}

@@ -23,14 +23,6 @@ type SelfStabConfig struct {
 	Model LabelModel
 	// Rate is the corrupted fraction of nodes (at least one node).
 	Rate float64
-	// HealProb is each victim's per-round heal probability (geometric heal
-	// times); 0 means 0.5.
-	HealProb float64
-	// MaxRounds is the heal-round budget after which an unrecovered episode
-	// gives up; 0 means 16. Every victim's heal time is capped at MaxRounds,
-	// so full healing is guaranteed by the final round — an unrecovered
-	// episode means the verifier rejected a fully healed instance.
-	MaxRounds int
 	// Decider is the verifier re-evaluated after each heal round.
 	Decider engine.Decider
 	// Options are the engine options of each evaluation (scheduler, dedup,
@@ -48,19 +40,15 @@ type SelfStabConfig struct {
 	Incremental bool
 }
 
-func (cfg *SelfStabConfig) healProb() float64 {
-	if cfg.HealProb <= 0 {
-		return 0.5
-	}
-	return cfg.HealProb
-}
+// healProb is each victim's per-round heal probability (geometric heal
+// times).
+const healProb = 0.5
 
-func (cfg *SelfStabConfig) maxRounds() int {
-	if cfg.MaxRounds <= 0 {
-		return 16
-	}
-	return cfg.MaxRounds
-}
+// maxRounds is the heal-round budget after which an unrecovered episode
+// gives up. Every victim's heal time is capped at maxRounds, so full
+// healing is guaranteed by the final round — an unrecovered episode means
+// the verifier rejected a fully healed instance.
+const maxRounds = 16
 
 // Episode is the outcome of one corruption-heal-recover run.
 type Episode struct {
@@ -97,9 +85,6 @@ func RunEpisode(l *graph.Labeled, cfg SelfStabConfig, seed int64) (Episode, erro
 	if k < 1 {
 		k = 1
 	}
-	maxRounds := cfg.maxRounds()
-	healProb := cfg.healProb()
-
 	corrupted, victims := CorruptLabels(l, cfg.Model, k, seed)
 	ep.Victims = victims
 

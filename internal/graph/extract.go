@@ -6,8 +6,8 @@ import (
 )
 
 // ViewExtractor extracts radius-t views in bulk while reusing all scratch
-// memory between calls: the BFS stamp array, the frontier queues, the view's
-// flat CSR arrays, and the label/identifier/original-index buffers. One
+// memory between calls: the ball search's Traversal, the view's flat CSR
+// arrays, and the label/identifier/original-index buffers. One
 // extractor per worker turns per-node view extraction from "two map-backed
 // allocations per node" (Ball + InducedSubgraph) into an allocation-free
 // inner loop, which is where the evaluation engine spends its time on the
@@ -18,9 +18,10 @@ import (
 // BFS over the host and the induced-subgraph emission walk contiguous int32
 // ranges, with no per-node slice headers on either side.
 //
-// The extractor reproduces ViewOf / ObliviousViewOf exactly: the view's node
-// ordering is the same BFS discovery order (centre first, then by distance,
-// within a layer by discovery), so the returned view is field-for-field
+// The extractor reproduces ViewOf / ObliviousViewOf exactly: the ball comes
+// from the same layered search as Traversal.Ball, so the view's node
+// ordering is the same discovery order (centre first, then by distance,
+// within a layer by discovery) and the returned view is field-for-field
 // identical to the one the one-shot helpers build.
 //
 // Lifetime contract: the *View returned by At (and everything it references —
@@ -39,13 +40,11 @@ type ViewExtractor struct {
 	// torn adjacency silently — is a detected error instead.
 	gen uint64
 
-	// BFS scratch, sized to the host graph.
-	stamp     []int   // visit epoch per original node
-	viewIndex []int32 // original node -> dense view index, valid when stamped
-	epoch     int
-	ball      []int
-	frontier  []int
-	next      []int
+	// tr searches the ball; its queue is the ball in discovery order.
+	// viewIndex maps an original node to its dense view index, valid where
+	// tr's current epoch has stamped the node.
+	tr        Traversal
+	viewIndex []int32
 
 	// Reusable view output buffers, sized to the largest ball seen so far.
 	// The view's adjacency is one flat CSR arena reused across calls.
@@ -69,12 +68,10 @@ type ViewExtractor struct {
 // NewViewExtractor returns an extractor producing ID-free views of l
 // (the batched equivalent of ObliviousViewOf).
 func NewViewExtractor(l *Labeled) *ViewExtractor {
-	n := l.N()
 	return &ViewExtractor{
 		l:         l,
 		gen:       l.G.Generation(),
-		stamp:     make([]int, n),
-		viewIndex: make([]int32, n),
+		viewIndex: make([]int32, l.N()),
 		code:      NewCodeWorkspace(),
 	}
 }
@@ -88,21 +85,18 @@ func NewInstanceViewExtractor(in *Instance) *ViewExtractor {
 }
 
 // Reset rebinds the extractor to a new host graph while retaining every
-// scratch buffer: the BFS stamp array, the flat view arenas and the shared
-// canonical-code workspace. It is the batched-evaluation analogue of
+// scratch buffer: the search's Traversal, the flat view arenas and the
+// shared canonical-code workspace. It is the batched-evaluation analogue of
 // NewViewExtractor — one worker's extractor serves a whole slice of
 // instances, so per-instance setup stops allocating once the largest host
-// has been seen. Stamp entries from the previous host are harmless: At
-// advances the visit epoch before every extraction, so no stale stamp can
-// equal a fresh epoch. After Reset the extractor produces ID-free views; use
+// has been seen. Stamp entries from the previous host are harmless: every
+// search advances the visit epoch, so no stale stamp can equal a fresh
+// epoch. After Reset the extractor produces ID-free views; use
 // ResetInstance to carry identifiers.
 func (x *ViewExtractor) Reset(l *Labeled) {
-	n := l.N()
-	if cap(x.stamp) < n {
-		x.stamp = make([]int, n)
+	if n := l.N(); cap(x.viewIndex) < n {
 		x.viewIndex = make([]int32, n)
 	} else {
-		x.stamp = x.stamp[:n]
 		x.viewIndex = x.viewIndex[:n]
 	}
 	x.l = l
@@ -128,48 +122,35 @@ func (x *ViewExtractor) At(v, t int) *View {
 	if t < 0 {
 		panic("graph: negative radius")
 	}
-	x.epoch++
-	x.stamp[v] = x.epoch
-	x.ball = append(x.ball[:0], v)
-	x.frontier = append(x.frontier[:0], v)
-	for d := 0; d < t && len(x.frontier) > 0; d++ {
-		x.next = x.next[:0]
-		for _, w := range x.frontier {
-			for _, u := range g.row(w) {
-				if x.stamp[u] != x.epoch {
-					x.stamp[u] = x.epoch
-					x.next = append(x.next, int(u))
-					x.ball = append(x.ball, int(u))
-				}
-			}
-		}
-		x.frontier, x.next = x.next, x.frontier
-	}
+	x.tr.next(g.N())
+	x.tr.visit(int32(v))
+	x.tr.search(g, 0, t, -1)
+	ball := x.tr.queue
 
-	k := len(x.ball)
+	k := len(ball)
 	x.growOutput(k)
-	for i, w := range x.ball {
+	for i, w := range ball {
 		x.viewIndex[w] = int32(i)
 	}
 	// Emit the induced subgraph straight into the flat arena: node i's
 	// neighbours are appended contiguously, then the (small) range is sorted
 	// to restore the CSR invariant (neighbours arrive in original-index
-	// order, but view indices follow BFS discovery order).
+	// order, but view indices follow discovery order).
 	x.viewNbrs = x.viewNbrs[:0]
 	x.viewOffsets = append(x.viewOffsets[:0], 0)
-	for _, w := range x.ball {
+	for _, w := range ball {
 		start := len(x.viewNbrs)
-		for _, u := range g.row(w) {
-			if x.stamp[u] == x.epoch {
+		for _, u := range g.row(int(w)) {
+			if x.tr.seen(u) {
 				x.viewNbrs = append(x.viewNbrs, x.viewIndex[u])
 			}
 		}
 		slices.Sort(x.viewNbrs[start:])
 		x.viewOffsets = append(x.viewOffsets, int32(len(x.viewNbrs)))
 	}
-	for i, w := range x.ball {
+	for i, w := range ball {
 		x.labels[i] = x.l.Labels[w]
-		x.orig[i] = w
+		x.orig[i] = int(w)
 		if x.ids != nil {
 			x.outIDs[i] = x.ids[w]
 		}

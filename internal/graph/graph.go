@@ -17,6 +17,12 @@
 // freezes an edge list in O(n+m); AddEdge/AddNode remain as compatibility
 // mutators for small post-hoc edits (tests corrupting instances) but rebuild
 // the flat arrays per call and must not be used on hot paths.
+//
+// Every radius-t ball the repository computes — a view's node set, a
+// shard's halo, an incremental session's dirty set, a component — comes
+// from one layered breadth-first search (Traversal), so all of them share
+// one discovery order: seeds first, then by distance, and within a layer
+// by discovery.
 package graph
 
 import (

@@ -9,8 +9,9 @@ import (
 // Partition splits a host CSR into p shards and answers the one question the
 // halo-exchange protocol needs — which nodes sit within distance t of a
 // shard boundary. Everything here is strategy + arithmetic over the existing
-// flat arrays; no per-node maps, and the boundary-ball computation runs on
-// the same epoch-stamped Traversal scratch as the whole-graph analyses.
+// flat arrays; no per-node maps. The component sweep that orders
+// PartitionBFSBlocked and the boundary ball of Halo both run the
+// Traversal's one layered search.
 
 // PartitionStrategy selects how NewPartition assigns nodes to shards.
 type PartitionStrategy int
@@ -52,7 +53,7 @@ type Partition struct {
 	p     int
 	shard []int32   // node -> owning shard
 	owned [][]int32 // shard -> owned nodes, ascending
-	tr    Traversal // scratch for the boundary-ball BFS
+	tr    Traversal // scratch for the component sweep and the boundary ball
 }
 
 // NewPartition splits g into p shards under the given strategy. The shard
@@ -94,32 +95,13 @@ func (pt *Partition) assignContiguous(n int) {
 	}
 }
 
-// assignBFSBlocked cuts the BFS discovery order (restarted per component at
-// the smallest unvisited node) into p balanced blocks, then sorts each
-// shard's nodes ascending so Owned rows stay monotone in host-id order.
+// assignBFSBlocked cuts the discovery order of the component sweep (each
+// component searched from its smallest member) into p balanced blocks, then
+// sorts each shard's nodes ascending so Owned rows stay monotone in host-id
+// order.
 func (pt *Partition) assignBFSBlocked(n int) {
-	order := make([]int32, 0, n)
-	pt.tr.next(n)
-	e := pt.tr.epoch
-	q := pt.tr.queue[:0]
-	for start := 0; start < n; start++ {
-		if pt.tr.stamp[start] == e {
-			continue
-		}
-		pt.tr.stamp[start] = e
-		q = append(q[:0], int32(start))
-		order = append(order, int32(start))
-		for head := 0; head < len(q); head++ {
-			for _, u := range pt.g.row(int(q[head])) {
-				if pt.tr.stamp[u] != e {
-					pt.tr.stamp[u] = e
-					q = append(q, u)
-					order = append(order, u)
-				}
-			}
-		}
-	}
-	pt.tr.queue = q
+	pt.tr.ComponentIDs(pt.g)
+	order := pt.tr.queue
 	for s := 0; s < pt.p; s++ {
 		lo, hi := s*n/pt.p, (s+1)*n/pt.p
 		block := append([]int32(nil), order[lo:hi]...)
@@ -167,7 +149,9 @@ func (pt *Partition) Boundary(s int) []int32 {
 // unowned members are exactly the ghosts the shard must import to complete
 // those views: for any unowned u, dist(u, Owned(s)) = dist(u, Boundary(s)),
 // since a shortest path into the shard enters through a boundary node.
-// Both slices are freshly allocated.
+// The ball is one multi-source search from the boundary, and each node's
+// depth is the search layer it was discovered in. Both slices are freshly
+// allocated.
 func (pt *Partition) Halo(s, t int) (nodes, depth []int32) {
 	if t < 0 {
 		panic("graph: negative halo depth")
@@ -178,33 +162,18 @@ func (pt *Partition) Halo(s, t int) (nodes, depth []int32) {
 	}
 	tr := &pt.tr
 	tr.next(pt.g.N())
-	e := tr.epoch
-	q := tr.queue[:0]
 	for _, v := range sources {
-		tr.stamp[v] = e
-		tr.dist[v] = 0
-		q = append(q, v)
+		tr.visit(v)
 	}
-	for head := 0; head < len(q); head++ {
-		w := q[head]
-		dw := tr.dist[w]
-		if int(dw) == t {
-			break // FIFO: everything still queued is already at depth t
-		}
-		for _, u := range pt.g.row(int(w)) {
-			if tr.stamp[u] != e {
-				tr.stamp[u] = e
-				tr.dist[u] = dw + 1
-				q = append(q, u)
-			}
-		}
-	}
-	nodes = append([]int32(nil), q...)
-	tr.queue = q
+	tr.search(pt.g, 0, t, -1)
+	nodes = slices.Clone(tr.queue)
 	slices.Sort(nodes)
 	depth = make([]int32, len(nodes))
-	for i, v := range nodes {
-		depth[i] = tr.dist[v]
+	for d := range tr.layers {
+		for _, v := range tr.layer(d) {
+			i, _ := slices.BinarySearch(nodes, v)
+			depth[i] = int32(d)
+		}
 	}
 	return nodes, depth
 }

@@ -2,21 +2,27 @@ package graph
 
 import "math"
 
-// Traversal is reusable scratch memory for whole-graph analyses: one
-// persistent int32 queue plus epoch-stamped distance/visited/parent arrays
-// that back scratch-aware variants of BFSFrom, Ball, IsConnected,
-// ComponentIDs (the scratch shape of ConnectedComponents), Diameter,
-// Distance and HasCycle. It mirrors ViewExtractor's role for view
-// extraction: one Traversal per worker turns repeated whole-graph analyses
-// into a 0 allocs/op steady state, which is what makes diameter sweeps and
-// component scans over the n=10^6 instances (cycles, sparse random graphs,
-// the height-10 pyramids) allocator-quiet.
+// Traversal is reusable scratch memory for breadth-first searches: one
+// epoch-stamped visited array and one int32 queue that every search writes
+// in discovery order. One layered search (search) backs Ball and its
+// multi-centre form BallAround, Distance, IsConnected, Diameter and
+// ComponentIDs, and, inside the package, ViewExtractor.At, Partition.Halo
+// and the BFS-blocked partition's component sweep, so all of them agree on
+// one discovery order: seeds first, then by distance, and within a layer
+// by discovery. BFSFrom (an unstamped distance fill) and HasCycle (a
+// depth-first search) keep loops of their own. One Traversal per worker
+// turns repeated analyses into a 0 allocs/op steady state, which is what
+// makes diameter sweeps and component scans over the n=10^6 instances
+// (cycles, sparse random graphs, the height-10 pyramids) allocator-quiet.
 //
-// Epoch stamping: partial traversals (Ball, Distance, the per-source BFS
-// inside Diameter) never clear their per-node state. A node counts as
-// visited only when stamp[v] equals the current epoch, so starting the next
-// traversal is one counter increment instead of an O(n) wipe — a Ball of 7
-// nodes in a 10^6-node host touches 7 stamps, not 10^6. The epoch counter
+// Depths come from layer boundaries, not from a distance per node: the
+// search records the queue offset at which each depth begins, so a node's
+// depth is the layer its queue position falls in.
+//
+// Epoch stamping: searches never clear their per-node state. A node counts
+// as discovered only when stamp[v] equals the current epoch, so starting the
+// next search is one counter increment instead of an O(n) wipe — a Ball of
+// 7 nodes in a 10^6-node host touches 7 stamps, not 10^6. The epoch counter
 // is wrapped safely: when it would overflow, the stamp array is zeroed once
 // and counting restarts, so a stale stamp can never alias a live epoch.
 // Full-output analyses (BFSFrom's distance vector, ComponentIDs' id vector)
@@ -25,25 +31,28 @@ import "math"
 // A Traversal may be reused across graphs of different sizes; the scratch
 // grows to the largest host seen. The zero value is ready to use.
 //
-// Lifetime contract: slices returned by BFSFrom, Ball and ComponentIDs are
-// owned by the Traversal and valid only until its next call. Callers that
-// retain results must copy them (the package-level Graph methods are exactly
-// those copying wrappers).
+// Lifetime contract: slices returned by BFSFrom, Ball, BallAround and
+// ComponentIDs are owned by the Traversal and valid only until its next
+// call. Callers that retain results must copy them (the package-level Graph
+// methods are exactly those copying wrappers).
 //
 // A Traversal is not safe for concurrent use; give each goroutine its own.
 type Traversal struct {
-	// Epoch-stamped per-node state, sized to the largest host seen. dist and
-	// parent are only meaningful at indices where stamp equals epoch.
-	stamp  []int32
-	dist   []int32
-	parent []int32
-	epoch  int32
+	// stamp holds the epoch at which each node was last discovered, sized
+	// to the largest host seen.
+	stamp []int32
+	epoch int32
 
-	// queue is the persistent BFS queue (also the DFS stack of HasCycle).
+	// queue is the current epoch's discovery order (HasCycle's DFS stack).
 	queue []int32
+	// layers[d] is the queue offset at which depth d of the last search
+	// begins; the last layer runs to the end of the queue.
+	layers []int32
+	// parent holds HasCycle's DFS parents, allocated by its first call.
+	parent []int32
 
-	// Reused output buffers: Ball's node list, BFSFrom's full distance
-	// vector, ComponentIDs' id vector.
+	// Reused output buffers: the node list of Ball and BallAround,
+	// BFSFrom's full distance vector, ComponentIDs' id vector.
 	ball    []int
 	distOut []int32
 	comp    []int32
@@ -53,23 +62,72 @@ type Traversal struct {
 // scratch arrays are grown on first use.
 func NewTraversal() *Traversal { return &Traversal{} }
 
-// next begins a new epoch with per-node state grown to n nodes.
+// next begins a new epoch, with an empty queue and per-node state grown to
+// n nodes.
 func (t *Traversal) next(n int) {
 	if len(t.stamp) < n {
 		// Fresh arrays are zeroed, so restart the epoch count: stamp 0 never
 		// equals an epoch >= 1.
 		t.stamp = make([]int32, n)
-		t.dist = make([]int32, n)
-		t.parent = make([]int32, n)
 		t.epoch = 0
 	}
 	if t.epoch == math.MaxInt32 {
-		for i := range t.stamp {
-			t.stamp[i] = 0
-		}
+		clear(t.stamp)
 		t.epoch = 0
 	}
 	t.epoch++
+	t.queue = t.queue[:0]
+}
+
+// seen reports whether the current epoch has discovered v.
+func (t *Traversal) seen(v int32) bool { return t.stamp[v] == t.epoch }
+
+// visit discovers v, appending it to the queue, unless the current epoch
+// has already seen it.
+func (t *Traversal) visit(v int32) {
+	if !t.seen(v) {
+		t.stamp[v] = t.epoch
+		t.queue = append(t.queue, v)
+	}
+}
+
+// search is the one breadth-first search. It grows the search whose seeds
+// are t.queue[from:] layer by layer, appending every node the current epoch
+// has not yet seen to the queue as it is discovered. It stops at depth
+// bound (no bound when bound < 0), after the layer that discovers stop
+// (none when stop < 0), or when a layer comes up empty. Depth d of the
+// search is then t.queue[t.layers[d]:t.layers[d+1]], the last layer
+// running to the end of the queue. The queue and its layer boundaries stay
+// in locals until the search ends, so no layer stores a pointer.
+func (t *Traversal) search(g *Graph, from, bound int, stop int32) {
+	stamp, e, q := t.stamp, t.epoch, t.queue
+	layers := append(t.layers[:0], int32(from))
+	for lo := from; len(layers)-1 != bound && (stop < 0 || stamp[stop] != e); {
+		hi := len(q)
+		for _, w := range q[lo:hi] {
+			for _, u := range g.row(int(w)) {
+				if stamp[u] != e {
+					stamp[u] = e
+					q = append(q, u)
+				}
+			}
+		}
+		if len(q) == hi {
+			break
+		}
+		layers = append(layers, int32(hi))
+		lo = hi
+	}
+	t.queue, t.layers = q, layers
+}
+
+// layer returns depth d of the last search.
+func (t *Traversal) layer(d int) []int32 {
+	hi := len(t.queue)
+	if d+1 < len(t.layers) {
+		hi = int(t.layers[d+1])
+	}
+	return t.queue[t.layers[d]:hi]
 }
 
 // BFSFrom runs a breadth-first search from source and returns the distance
@@ -106,38 +164,32 @@ func (t *Traversal) BFSFrom(g *Graph, source int) []int32 {
 // Ball returns the nodes within distance radius of v, in BFS discovery
 // order with the centre first — element-for-element the same order as
 // Graph.Ball. The returned slice is scratch-owned (valid until the next
-// call); the traversal touches only the ball, not the whole host, and is
+// call); the search touches only the ball, not the whole host, and is
 // 0 allocs/op steady-state.
 func (t *Traversal) Ball(g *Graph, v, radius int) []int {
-	g.check(v)
+	return t.BallAround(g, []int{v}, radius)
+}
+
+// BallAround returns B(S, radius), the nodes within distance radius of some
+// centre in S, from one multi-source search: the centres first, in the
+// order given and each once, then by distance. The union of the radius-t
+// balls around several nodes is exactly this set. The slice is
+// scratch-owned like Ball's, and the call is 0 allocs/op steady-state.
+func (t *Traversal) BallAround(g *Graph, centres []int, radius int) []int {
+	t.next(g.N())
+	for _, v := range centres {
+		g.check(v)
+		t.visit(int32(v))
+	}
 	if radius < 0 {
 		panic("graph: negative radius")
 	}
-	t.next(g.N())
-	e := t.epoch
-	t.stamp[v] = e
-	t.dist[v] = 0
-	ball := append(t.ball[:0], v)
-	q := append(t.queue[:0], int32(v))
-	for head := 0; head < len(q); head++ {
-		w := q[head]
-		dw := t.dist[w]
-		if int(dw) == radius {
-			// FIFO order makes distances monotone: everything still queued is
-			// already at the radius.
-			break
-		}
-		for _, u := range g.row(int(w)) {
-			if t.stamp[u] != e {
-				t.stamp[u] = e
-				t.dist[u] = dw + 1
-				q = append(q, u)
-				ball = append(ball, int(u))
-			}
-		}
+	t.search(g, 0, radius, -1)
+	t.ball = t.ball[:0]
+	for _, v := range t.queue {
+		t.ball = append(t.ball, int(v))
 	}
-	t.queue, t.ball = q, ball
-	return ball
+	return t.ball
 }
 
 // IsConnected reports whether the graph is connected; the empty graph
@@ -154,43 +206,36 @@ func (t *Traversal) IsConnected(g *Graph) bool {
 // ComponentIDs labels every node with its connected-component id and
 // returns the id vector together with the component count. Ids are dense
 // and assigned in order of each component's smallest member, so grouping
-// nodes 0..n-1 by id yields exactly Graph.ConnectedComponents. The id
-// vector is scratch-owned (valid until the next call); steady-state the
-// scan is 0 allocs/op.
+// nodes 0..n-1 by id yields exactly Graph.ConnectedComponents. The sweep
+// leaves every node in the queue, component by component, each in the
+// discovery order of a search from its smallest member. The id vector is
+// scratch-owned (valid until the next call); steady-state the scan is
+// 0 allocs/op.
 func (t *Traversal) ComponentIDs(g *Graph) ([]int32, int) {
 	n := g.N()
 	if cap(t.comp) < n {
 		t.comp = make([]int32, n)
 	}
 	comp := t.comp[:n]
-	for i := range comp {
-		comp[i] = -1
-	}
+	t.next(n)
 	count := 0
-	q := t.queue[:0]
-	for start := 0; start < n; start++ {
-		if comp[start] != -1 {
+	for start := range int32(n) {
+		if t.seen(start) {
 			continue
 		}
-		id := int32(count)
-		count++
-		comp[start] = id
-		q = append(q[:0], int32(start))
-		for head := 0; head < len(q); head++ {
-			for _, u := range g.row(int(q[head])) {
-				if comp[u] == -1 {
-					comp[u] = id
-					q = append(q, u)
-				}
-			}
+		from := len(t.queue)
+		t.visit(start)
+		t.search(g, from, -1, -1)
+		for _, v := range t.queue[from:] {
+			comp[v] = int32(count)
 		}
+		count++
 	}
-	t.queue = q
 	return comp, count
 }
 
 // Diameter returns the largest finite shortest-path distance, or -1 for a
-// disconnected or empty graph. It runs one stamped BFS per node over the
+// disconnected or empty graph. It runs one stamped search per node over the
 // shared scratch — 0 allocs/op steady-state, where the slice-allocating
 // equivalent churns ~n fresh distance vectors.
 func (t *Traversal) Diameter(g *Graph) int {
@@ -204,44 +249,24 @@ func (t *Traversal) Diameter(g *Graph) int {
 		if reached != n {
 			return -1
 		}
-		if ecc > diameter {
-			diameter = ecc
-		}
+		diameter = max(diameter, ecc)
 	}
 	return diameter
 }
 
 // Distance returns the shortest-path distance between u and v, or -1 if
-// they are in different components. The BFS stops as soon as v is reached.
-// 0 allocs/op steady-state.
+// they are in different components. The search stops after the layer that
+// reaches v. 0 allocs/op steady-state.
 func (t *Traversal) Distance(g *Graph, u, v int) int {
 	g.check(u)
 	g.check(v)
-	if u == v {
-		return 0
-	}
 	t.next(g.N())
-	e := t.epoch
-	t.stamp[u] = e
-	t.dist[u] = 0
-	q := append(t.queue[:0], int32(u))
-	for head := 0; head < len(q); head++ {
-		w := q[head]
-		dw := t.dist[w]
-		for _, x := range g.row(int(w)) {
-			if t.stamp[x] != e {
-				if int(x) == v {
-					t.queue = q
-					return int(dw) + 1
-				}
-				t.stamp[x] = e
-				t.dist[x] = dw + 1
-				q = append(q, x)
-			}
-		}
+	t.visit(int32(u))
+	t.search(g, 0, -1, int32(v))
+	if !t.seen(int32(v)) {
+		return -1
 	}
-	t.queue = q
-	return -1
+	return len(t.layers) - 1
 }
 
 // HasCycle reports whether the graph contains any cycle. It runs the same
@@ -250,8 +275,11 @@ func (t *Traversal) Distance(g *Graph, u, v int) int {
 func (t *Traversal) HasCycle(g *Graph) bool {
 	n := g.N()
 	t.next(n)
+	if len(t.parent) < n {
+		t.parent = make([]int32, n)
+	}
 	e := t.epoch
-	q := t.queue[:0] // used as a stack here
+	q := t.queue // used as a stack here
 	for start := 0; start < n; start++ {
 		if t.stamp[start] == e {
 			continue
@@ -278,26 +306,11 @@ func (t *Traversal) HasCycle(g *Graph) bool {
 	return false
 }
 
-// eccentricity runs a stamped BFS from source and returns the distance to
-// the farthest reached node together with the number of nodes reached.
+// eccentricity searches from source and returns the depth of its last
+// layer together with the number of nodes reached.
 func (t *Traversal) eccentricity(g *Graph, source int) (ecc, reached int) {
 	t.next(g.N())
-	e := t.epoch
-	t.stamp[source] = e
-	t.dist[source] = 0
-	q := append(t.queue[:0], int32(source))
-	var last int32
-	for head := 0; head < len(q); head++ {
-		w := q[head]
-		last = t.dist[w]
-		for _, u := range g.row(int(w)) {
-			if t.stamp[u] != e {
-				t.stamp[u] = e
-				t.dist[u] = last + 1
-				q = append(q, u)
-			}
-		}
-	}
-	t.queue = q
-	return int(last), len(q)
+	t.visit(int32(source))
+	t.search(g, 0, -1, -1)
+	return len(t.layers) - 1, len(t.queue)
 }
