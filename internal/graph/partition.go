@@ -166,14 +166,19 @@ func (pt *Partition) Halo(s, t int) (nodes, depth []int32) {
 		tr.visit(v)
 	}
 	tr.search(pt.g, 0, t, -1)
-	nodes = slices.Clone(tr.queue)
-	slices.Sort(nodes)
-	depth = make([]int32, len(nodes))
+	// Pack each node with its layer as node<<32 | depth, so one sort orders
+	// both columns by node.
+	keyed := make([]int64, 0, len(tr.queue))
 	for d := range tr.layers {
 		for _, v := range tr.layer(d) {
-			i, _ := slices.BinarySearch(nodes, v)
-			depth[i] = int32(d)
+			keyed = append(keyed, int64(v)<<32|int64(d))
 		}
+	}
+	slices.Sort(keyed)
+	nodes = make([]int32, len(keyed))
+	depth = make([]int32, len(keyed))
+	for i, k := range keyed {
+		nodes[i], depth[i] = int32(k>>32), int32(k)
 	}
 	return nodes, depth
 }
