@@ -2,6 +2,7 @@ package graph
 
 import (
 	"fmt"
+	"math/bits"
 	"slices"
 )
 
@@ -16,7 +17,11 @@ import (
 // The emitted view graph is written directly into one reused flat arena
 // (offsets + neighbours), mirroring the host graph's CSR layout: both the
 // BFS over the host and the induced-subgraph emission walk contiguous int32
-// ranges, with no per-node slice headers on either side.
+// ranges, with no per-node slice headers on either side. Only last-layer
+// rows can reach outside the ball, so only they are checked for
+// membership, and a last-layer hub row (a host row far longer than the
+// ball, like the G(M, r) pivot's) is read by looking each ball node up in
+// it rather than by scanning it; see At.
 //
 // The extractor reproduces ViewOf / ObliviousViewOf exactly: the ball comes
 // from the same layered search as Traversal.Ball, so the view's node
@@ -132,20 +137,43 @@ func (x *ViewExtractor) At(v, t int) *View {
 	for i, w := range ball {
 		x.viewIndex[w] = int32(i)
 	}
-	// Emit the induced subgraph straight into the flat arena: node i's
-	// neighbours are appended contiguously, then the (small) range is sorted
-	// to restore the CSR invariant (neighbours arrive in original-index
-	// order, but view indices follow discovery order).
+	// Emit the induced subgraph straight into the flat arena, one ascending
+	// row per ball node, in one of three ways that depend only on the input:
+	//   - interior rows: a node above the last layer has every neighbour in
+	//     the ball, so its row is mapped without the membership check;
+	//   - hub rows: a last-layer row with k·bits.Len(len(row)) < len(row),
+	//     where k binary searches cost less than one scan, is not scanned;
+	//     each ball node is looked up in the sorted host row instead, in
+	//     ball order, so the row comes out ascending;
+	//   - other rows are scanned with the membership check.
+	// Host rows are ascending in original indices, not in view indices, so
+	// the mapped rows of the first and last kinds are sorted.
+	interior := int(x.tr.layers[len(x.tr.layers)-1])
 	x.viewNbrs = x.viewNbrs[:0]
 	x.viewOffsets = append(x.viewOffsets[:0], 0)
-	for _, w := range ball {
+	for i, w := range ball {
 		start := len(x.viewNbrs)
-		for _, u := range g.row(int(w)) {
-			if x.tr.seen(u) {
+		row := g.row(int(w))
+		switch {
+		case i < interior:
+			for _, u := range row {
 				x.viewNbrs = append(x.viewNbrs, x.viewIndex[u])
 			}
+			sortInt32sSmall(x.viewNbrs[start:])
+		case k*bits.Len(uint(len(row))) < len(row):
+			for j, u := range ball {
+				if _, found := slices.BinarySearch(row, u); found {
+					x.viewNbrs = append(x.viewNbrs, int32(j))
+				}
+			}
+		default:
+			for _, u := range row {
+				if x.tr.seen(u) {
+					x.viewNbrs = append(x.viewNbrs, x.viewIndex[u])
+				}
+			}
+			sortInt32sSmall(x.viewNbrs[start:])
 		}
-		slices.Sort(x.viewNbrs[start:])
 		x.viewOffsets = append(x.viewOffsets, int32(len(x.viewNbrs)))
 	}
 	for i, w := range ball {

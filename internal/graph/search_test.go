@@ -34,17 +34,46 @@ func decodeSearchInput(data []byte) (g *Graph, centres []int, radius int) {
 	return b.Build(), centres, radius
 }
 
+// hubSeed encodes, in decodeSearchInput's format, a host of n nodes with
+// the given edges, searched from the given centres at radius.
+func hubSeed(n, radius int, centres []byte, edges [][2]byte) []byte {
+	data := []byte{byte(n - 1), byte(radius), byte(len(centres) - 1)}
+	data = append(data, centres...)
+	for _, e := range edges {
+		data = append(data, e[0], e[1])
+	}
+	return data
+}
+
 // FuzzSearchMatchesReference checks every output of the shared layered
 // search against refBall and refBFSFrom, the reference searches of
 // traversal_test.go, which share no code with it: Ball's content and
-// order, BallAround's content and layering, Distance, ComponentIDs,
-// Partition.Halo's nodes and depths under both strategies, and the
-// Original column of ViewExtractor.At.
+// order, BallAround's content and layering, Distance, ComponentIDs and
+// Partition.Halo's nodes and depths under both strategies. It checks
+// ViewExtractor.At's whole view, oblivious and with identifiers, against
+// ObliviousViewOf and ViewOf, which build the induced subgraph from a map
+// of the ball: structure, labels, identifiers, and Original in refBall's
+// order. The hub seeds (a star, a wheel, and a path with one node joined
+// to all the others, all of 32 nodes) put a row far longer than the ball
+// in the ball's last layer, so the extractor's lookup path runs too.
 func FuzzSearchMatchesReference(f *testing.F) {
 	f.Add([]byte{0, 0, 0, 0})
 	f.Add([]byte{7, 2, 1, 0, 3, 0, 1, 1, 2, 2, 3, 3, 4, 4, 5, 5, 6, 6, 0})
 	f.Add([]byte{11, 4, 3, 0, 5, 9, 2, 0, 1, 1, 2, 2, 3, 5, 6, 6, 7, 7, 8, 9, 10})
 	f.Add([]byte{31, 3, 2, 4, 4, 17, 0, 1, 0, 2, 1, 3, 2, 3, 20, 21, 21, 22, 22, 20})
+	var star, wheel, path [][2]byte
+	for i := byte(1); i < 32; i++ {
+		star = append(star, [2]byte{0, i})
+		wheel = append(wheel, [2]byte{0, i}, [2]byte{i, 1 + i%31})
+		path = append(path, [2]byte{i - 1, i})
+		if i != 7 {
+			path = append(path, [2]byte{7, i})
+		}
+	}
+	path = append(path, [2]byte{7, 0})
+	f.Add(hubSeed(32, 1, []byte{5}, star))
+	f.Add(hubSeed(32, 1, []byte{9, 0}, wheel))
+	f.Add(hubSeed(32, 1, []byte{20}, path))
 	f.Fuzz(func(t *testing.T, data []byte) {
 		g, centres, radius := decodeSearchInput(data)
 		if g == nil {
@@ -149,10 +178,23 @@ func FuzzSearchMatchesReference(f *testing.F) {
 			}
 		}
 
-		x := NewViewExtractor(UniformlyLabeled(g, "u"))
+		// Labels in three classes and identifiers descending, so a view
+		// that maps a node to the wrong host node shows it.
+		l := &Labeled{G: g, Labels: make([]Label, n)}
+		idents := make([]int, n)
+		for v := range n {
+			l.Labels[v] = Label(rune('a' + v%3))
+			idents[v] = 3 * (n - v)
+		}
+		in := NewInstance(l, idents)
+		x, xi := NewViewExtractor(l), NewInstanceViewExtractor(in)
 		for v := 0; v < n; v++ {
-			if got, want := x.At(v, radius).Original, refBall(g, v, radius); !slices.Equal(got, want) {
-				t.Fatalf("At(%d, %d).Original = %v, want %v", v, radius, got, want)
+			want := refBall(g, v, radius)
+			if got := x.At(v, radius); !slices.Equal(got.Original, want) || !viewsIdentical(got, ObliviousViewOf(l, v, radius)) {
+				t.Fatalf("At(%d, %d) differs from ObliviousViewOf (Original %v, want %v)", v, radius, got.Original, want)
+			}
+			if got := xi.At(v, radius); !slices.Equal(got.Original, want) || !viewsIdentical(got, ViewOf(in, v, radius)) {
+				t.Fatalf("instance At(%d, %d) differs from ViewOf (Original %v, want %v)", v, radius, got.Original, want)
 			}
 		}
 	})

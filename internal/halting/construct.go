@@ -362,8 +362,10 @@ func (p Params) GenerateNeighborhoods() (*GeneratorResult, error) {
 // outlive the loop).
 func collectNeighborhoods(asm *Assembly, radius int, excluded map[int]struct{}) *GeneratorResult {
 	l := asm.Labeled
-	codes := make(map[string]struct{})
-	samples := make(map[string]*graph.View)
+	// Both sets are keyed by the same canonical codes, at most one per
+	// node: sized up front, neither rehashes those long keys as it grows.
+	codes := make(map[string]struct{}, l.N())
+	samples := make(map[string]*graph.View, l.N())
 	x := graph.NewViewExtractor(l)
 	for v := 0; v < l.N(); v++ {
 		view := x.At(v, radius)

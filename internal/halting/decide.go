@@ -311,22 +311,17 @@ func placedKey(pf PlacedFragment) string {
 // Id(v) steps and rejects when the simulation finishes with an output other
 // than '0'. On G(M, r) some node has an identifier at least M's runtime
 // (there are more nodes than steps), so M's true output is always
-// discovered.
+// discovered. Every node's simulation is a prefix of one run of M, so the
+// decider answers them all from one resumable memo.
 func (p Params) LDDecider() local.Algorithm {
 	verifier := p.StructureVerifier()
+	memo := turing.NewRunMemo(p.Machine)
 	name := fmt.Sprintf("P-decider(%s,r=%d)", p.Machine.Name, p.R)
 	return local.AlgorithmFunc(name, verifier.Horizon(), func(view *graph.View) local.Verdict {
 		if verifier.DecideOblivious(view.StripIDs()) == local.No {
 			return local.No
 		}
-		res, err := turing.Run(p.Machine, view.RootID())
-		if err != nil {
-			return local.No
-		}
-		if res.Halted && res.Output != '0' {
-			return local.No
-		}
-		return local.Yes
+		return budgetVerdict(memo, view.RootID())
 	})
 }
 
@@ -340,9 +335,9 @@ func (p Params) LDDecider() local.Algorithm {
 // The structure check runs on view.StripIDs(), exactly as LDDecider's stage
 // 1 does: the decider is Id-oblivious by construction even when a harness
 // evaluates it on an identifier-carrying instance (engine.Eval), where views
-// arrive with IDs attached. The per-node simulations are memoised by budget
-// (DrawBudget has at most 15 outcomes), so repeated evaluation — trial
-// sweeps above all — costs one table lookup per node.
+// arrive with IDs attached. The per-node simulations share one resumable
+// memo (DrawBudget has at most 15 outcomes), so repeated evaluation — trial
+// sweeps above all — costs one lookup per node.
 func (p Params) RandomizedDecider() local.RandomizedAlgorithm {
 	verifier := p.StructureVerifier()
 	memo := turing.NewRunMemo(p.Machine)
@@ -355,9 +350,9 @@ func (p Params) RandomizedDecider() local.RandomizedAlgorithm {
 	})
 }
 
-// budgetVerdict is the simulation half of the Corollary 1 coin stage:
-// simulate for the drawn budget (memoised), reject on an observed non-'0'
-// halt.
+// budgetVerdict is the simulation stage of LDDecider and of the Corollary 1
+// coin stage: simulate for the budget (memoised), reject on an error or an
+// observed non-'0' halt.
 func budgetVerdict(memo *turing.RunMemo, budget int) local.Verdict {
 	res, err := memo.Run(budget)
 	if err != nil {

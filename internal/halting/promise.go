@@ -64,20 +64,22 @@ func PromiseR(yes []*turing.Machine, no []*turing.Machine, maxSteps int) (*decid
 // simulate for Id(v) steps, reject if M stops within the budget. Machines
 // are resolved through the provided registry (labels carry the encoding; the
 // registry maps encodings back to machines, standing in for a decoder).
+// Each machine's simulations share one resumable memo, so a cycle's nodes
+// step M once to their largest identifier, not once per node.
 func PromiseRIDDecider(registry []*turing.Machine) local.Algorithm {
-	byLabel := make(map[graph.Label]*turing.Machine, len(registry))
+	byLabel := make(map[graph.Label]*turing.RunMemo, len(registry))
 	for _, m := range registry {
-		byLabel[MachineCycleLabel(m)] = m
+		byLabel[MachineCycleLabel(m)] = turing.NewRunMemo(m)
 	}
 	return local.AlgorithmFunc("promise-R-id-decider", 1, func(view *graph.View) local.Verdict {
-		m, ok := byLabel[view.Labels[view.Root]]
+		memo, ok := byLabel[view.Labels[view.Root]]
 		if !ok {
 			return local.No
 		}
 		if view.G.Degree(view.Root) != 2 {
 			return local.No
 		}
-		if _, halted := turing.Runtime(m, view.RootID()); halted {
+		if res, err := memo.Run(view.RootID()); err == nil && res.Halted {
 			return local.No
 		}
 		return local.Yes

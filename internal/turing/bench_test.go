@@ -92,3 +92,34 @@ func BenchmarkRunInPlace(b *testing.B) {
 		}
 	})
 }
+
+// BenchmarkRunMemoBudgets prices E8's identifier decider on the looper's
+// 12-cycle under identifiers 10^6…10^6+11: a fresh memo answering those
+// budgets in a fixed shuffled order against one direct run to the largest.
+// The memo continues its one run to each larger budget, so the two arms
+// simulate the same steps; a memo that re-ran from scratch per budget
+// would read about 12x the run arm.
+func BenchmarkRunMemoBudgets(b *testing.B) {
+	const base = 1000000
+	order := []int{7, 2, 11, 0, 5, 9, 3, 10, 1, 6, 8, 4}
+	m := Looper()
+	b.Run("memo", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			memo := NewRunMemo(m)
+			for _, k := range order {
+				if res, err := memo.Run(base + k); err != nil || res.Halted {
+					b.Fatalf("budget %d: %+v, %v", base+k, res, err)
+				}
+			}
+		}
+	})
+	b.Run("run", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			if res, err := Run(m, base+len(order)-1); err != nil || res.Halted {
+				b.Fatalf("%+v, %v", res, err)
+			}
+		}
+	})
+}

@@ -2,61 +2,57 @@ package turing
 
 import "sync"
 
-// RunMemo memoises Run for one machine by step budget. Monte Carlo trial
-// sweeps (Corollary 1's randomised decider) call Run once per (trial, node)
-// with budgets drawn from a tiny set — halting.DrawBudget has at most 15
-// distinct outcomes — so across trials×nodes calls only a handful of
-// distinct simulations exist; the memo collapses the rest to a map lookup.
+// RunMemo answers Run for one machine at every step budget from one
+// resumable simulation. "M halts within b steps" is monotone in b, and so
+// are Run's two errors: a missing transition and a head moving off the
+// left tape end each happen at a fixed step. So one record answers every
+// budget: the halting step and output once known, the failing step and its
+// error once hit, and otherwise the furthest step reached, with the tape,
+// head, state and dense table to continue from there. A budget beyond that
+// point continues the run, so no step is simulated twice.
 //
-// A RunMemo is safe for concurrent use by the trial engine's workers.
-// Results are shared: callers must treat the returned Result (including
-// Final.Tape) as read-only.
+// The Section 3 deciders call Run once per node with identifier- or
+// coin-scaled budgets: E1's and E8's simulate for Id(v) steps, and
+// Corollary 1's randomised decider for a budget drawn from at most 15
+// values per trial and node. Across nodes and trials they all share one
+// simulation per machine.
+//
+// A RunMemo is safe for concurrent use by the engine's workers. Budgets the
+// record already covers are answered under the read lock; a larger budget
+// extends the run under the write lock, and concurrent callers wait for it
+// rather than duplicate the steps. Answers carry no Final configuration.
 type RunMemo struct {
-	m  *Machine
-	mu sync.RWMutex
-	// results memoises by exact budget. Exactness matters: Run's Steps and
-	// Final differ below the halting point, and a non-halting Result still
-	// depends on how far the budget let the run go.
-	results map[int]memoized
+	mu  sync.RWMutex
+	sim simulation
 }
 
-type memoized struct {
-	res Result
-	err error
-}
-
-// NewRunMemo returns an empty memo for m.
+// NewRunMemo returns a memo for m that has simulated nothing yet.
 func NewRunMemo(m *Machine) *RunMemo {
-	return &RunMemo{m: m, results: make(map[int]memoized)}
+	return &RunMemo{sim: simulation{m: m}}
 }
 
 // Machine returns the memoised machine.
-func (rm *RunMemo) Machine() *Machine { return rm.m }
+func (rm *RunMemo) Machine() *Machine { return rm.sim.m }
 
-// Run is Run(Machine(), maxSteps) served from the memo. The first call per
-// budget simulates under the write lock; concurrent callers with the same
-// budget wait rather than duplicating the simulation (budgets are few and
-// simulations can be long, so lost parallelism is cheaper than lost work).
+// Run is Run(Machine(), maxSteps) without Result.Final.
 func (rm *RunMemo) Run(maxSteps int) (Result, error) {
 	rm.mu.RLock()
-	e, ok := rm.results[maxSteps]
-	rm.mu.RUnlock()
-	if ok {
-		return e.res, e.err
+	if rm.sim.covers(maxSteps) {
+		res, err := rm.sim.result(maxSteps)
+		rm.mu.RUnlock()
+		return res, err
 	}
+	rm.mu.RUnlock()
 	rm.mu.Lock()
 	defer rm.mu.Unlock()
-	if e, ok := rm.results[maxSteps]; ok {
-		return e.res, e.err
-	}
-	res, err := Run(rm.m, maxSteps)
-	rm.results[maxSteps] = memoized{res: res, err: err}
-	return res, err
+	rm.sim.advance(maxSteps)
+	return rm.sim.result(maxSteps)
 }
 
-// Len reports how many distinct budgets have been simulated.
-func (rm *RunMemo) Len() int {
+// Steps reports how many transitions the memo has simulated: the step its
+// run has reached, whatever the budgets that took it there.
+func (rm *RunMemo) Steps() int {
 	rm.mu.RLock()
 	defer rm.mu.RUnlock()
-	return len(rm.results)
+	return rm.sim.steps
 }

@@ -74,37 +74,59 @@ type Result struct {
 // as the steps already taken, so long runs gain and short runs, which never
 // reach the switch, pay nothing for it.
 func Run(m *Machine, maxSteps int) (Result, error) {
-	var tape []Symbol
-	head := 0
-	state := State(0)
-	read := func(i int) Symbol {
-		if i >= len(tape) {
-			return Blank
-		}
-		return tape[i]
+	s := simulation{m: m}
+	s.advance(maxSteps)
+	res, err := s.result(maxSteps)
+	if err == nil {
+		res.Final = Config{Tape: s.tape, Head: s.head, State: s.state}
 	}
-	var table *transTable
-	for step := 0; step <= maxSteps; step++ {
-		if m.IsHalt(state) {
-			final := Config{Tape: tape, Head: head, State: state}
-			return Result{Halted: true, Steps: step, Output: read(head), Final: final}, nil
-		}
-		if step == maxSteps {
-			break
+	return res, err
+}
+
+// simulation is a run of m from the blank start configuration, paused after
+// steps transitions. It ends in one of three ways, each at a fixed step
+// whatever the budget: m halts (state is m.Halt), a transition is missing,
+// or the head moves off the left tape end (err is set, and steps is the
+// step that failed). Until then it can be advanced to any larger budget,
+// and it continues from where it stopped, dense table included.
+type simulation struct {
+	m     *Machine
+	tape  []Symbol
+	head  int
+	state State
+	steps int
+	table *transTable
+	err   error
+}
+
+// advance continues the run until it halts, fails or has taken maxSteps
+// transitions. The configuration stays in locals while it steps and is
+// written back once; a failure breaks out of the loop with the step that
+// failed, and its error is built after it.
+func (s *simulation) advance(maxSteps int) {
+	if s.err != nil {
+		return
+	}
+	m, tape, head, state, table, step := s.m, s.tape, s.head, s.state, s.table, s.steps
+	missing := false
+	for ; step < maxSteps && !m.IsHalt(state); step++ {
+		sym := Blank
+		if head < len(tape) {
+			sym = tape[head]
 		}
 		var tr Trans
 		var ok bool
 		if table != nil {
-			tr, ok = table.lookup(m, state, read(head))
+			tr, ok = table.lookup(m, state, sym)
 		} else {
-			tr, ok = m.Delta[TransKey{State: state, Read: read(head)}]
+			tr, ok = m.Delta[TransKey{State: state, Read: sym}]
 			if step+1 == len(m.Delta) {
 				table = newTransTable(m)
 			}
 		}
 		if !ok {
-			return Result{}, fmt.Errorf("turing: %q step %d: missing transition delta(%d, %q)",
-				m.Name, step, state, read(head))
+			missing = true
+			break
 		}
 		for len(tape) <= head {
 			tape = append(tape, Blank)
@@ -112,11 +134,43 @@ func Run(m *Machine, maxSteps int) (Result, error) {
 		tape[head] = tr.Write
 		head += int(tr.Move)
 		if head < 0 {
-			return Result{}, fmt.Errorf("turing: %q step %d: head moved off the left tape end", m.Name, step)
+			break
 		}
 		state = tr.Next
 	}
-	return Result{Halted: false, Final: Config{Tape: tape, Head: head, State: state}}, nil
+	s.tape, s.head, s.state, s.table, s.steps = tape, head, state, table, step
+	switch {
+	case missing:
+		s.err = fmt.Errorf("turing: %q step %d: missing transition delta(%d, %q)", m.Name, step, state, s.read())
+	case head < 0:
+		s.err = fmt.Errorf("turing: %q step %d: head moved off the left tape end", m.Name, step)
+	}
+}
+
+// read returns the symbol under the head.
+func (s *simulation) read() Symbol {
+	if s.head < len(s.tape) {
+		return s.tape[s.head]
+	}
+	return Blank
+}
+
+// covers reports whether the run has gone far enough to answer budget
+// maxSteps: it has ended, or it has taken at least maxSteps transitions.
+func (s *simulation) covers(maxSteps int) bool {
+	return maxSteps <= s.steps || s.err != nil || s.m.IsHalt(s.state)
+}
+
+// result is Run's answer for budget maxSteps, which the run must cover,
+// without Final.
+func (s *simulation) result(maxSteps int) (Result, error) {
+	switch {
+	case s.err != nil && maxSteps > s.steps:
+		return Result{}, s.err
+	case s.m.IsHalt(s.state) && maxSteps >= s.steps:
+		return Result{Halted: true, Steps: s.steps, Output: s.read()}, nil
+	}
+	return Result{}, nil
 }
 
 // transTable is Delta laid out densely, built from Delta's own keys: one

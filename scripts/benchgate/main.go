@@ -116,6 +116,18 @@ var gates = []group{
 		},
 	},
 	{
+		name: "runmemo",
+		runs: []run{{pkg: "./internal/turing/", bench: "BenchmarkRunMemoBudgets", benchtime: "5x", count: 3}},
+		rows: []row{
+			// E8's identifier decider asks one memo for the looper's
+			// budgets 10^6…10^6+11 in shuffled order. The memo continues
+			// one run to each larger budget, so it may cost at most 1.5x
+			// one direct run to the largest; a memo of exact budgets, which
+			// re-runs from scratch per budget, read about 12x.
+			{bench: "BenchmarkRunMemoBudgets/memo", ref: "BenchmarkRunMemoBudgets/run", unit: "ns/op", max: bound(1.5)},
+		},
+	},
+	{
 		name: "miss",
 		// Each row reads the median engine/replica ratio of 15 pairs, timed
 		// back to back in one benchmark: the minimum of three 5-iteration
