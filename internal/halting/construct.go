@@ -362,10 +362,12 @@ func (p Params) GenerateNeighborhoods() (*GeneratorResult, error) {
 // outlive the loop).
 func collectNeighborhoods(asm *Assembly, radius int, excluded map[int]struct{}) *GeneratorResult {
 	l := asm.Labeled
-	// Both sets are keyed by the same canonical codes, at most one per
-	// node: sized up front, neither rehashes those long keys as it grows.
-	codes := make(map[string]struct{}, l.N())
-	samples := make(map[string]*graph.View, l.N())
+	// Both sets grow from empty, not sized to l.N(): sized, they save E3 a
+	// tenth of its time, but the repro pass's peak RSS then varies by
+	// about 6 MB from run to run, as E3's growing code set meets the
+	// garbage collector's heap goal at different points.
+	codes := make(map[string]struct{})
+	samples := make(map[string]*graph.View)
 	x := graph.NewViewExtractor(l)
 	for v := 0; v < l.N(); v++ {
 		view := x.At(v, radius)
